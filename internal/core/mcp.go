@@ -155,8 +155,8 @@ type Session struct {
 	// session is warm (the session-pool hot path of internal/serve).
 	wbuf []ppa.Word
 
-	// sw is the batched-sweep scratch (sweep.go), allocated on first
-	// SolveSweep and reused for every destination thereafter. It holds no
+	// sw is the fused lane's scratch (sweep.go), allocated on its first
+	// solve and reused for every destination thereafter. It holds no
 	// graph data, so Reload does not invalidate it.
 	sw *sweepState
 
@@ -166,8 +166,8 @@ type Session struct {
 	// can invalidate them (entries older than logFloor have been
 	// truncated, so snapshots from before logFloor are unusable). ownG
 	// marks s.g as session-owned — Update clones the caller's graph before
-	// the first mutation. rs is the warm-path scratch; upIdx/upVals stage
-	// the sparse weight DMA.
+	// the first mutation. rs is the seeded DP's host scratch; upIdx/upVals
+	// stage the sparse weight DMA.
 	version  uint64
 	logFloor uint64
 	incLog   []incEntry
@@ -312,23 +312,27 @@ func (s *Session) Solve(dest int) (*Result, error) {
 // all machine temporaries are returned to the session's pools and the
 // context's error is returned.
 func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
-	g, a, opt := s.g, s.a, s.opt
-	if dest < 0 || dest >= g.N {
-		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, g.N)
+	if dest < 0 || dest >= s.g.N {
+		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, s.g.N)
 	}
-	n := g.N
-	m := s.m
-	h := m.Bits()
-	inf := ppa.Infinity(h)
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
-	startMetrics := m.Metrics()
+	return s.solveSeeded(ctx, dest, nil, nil)
+}
 
+// programDP runs the DP for dest as the paper's machine program — the
+// oracle lane, and the only lane for virtualized, faulty, switch-only,
+// reference-kernel and PaperInit fabrics. A cold run initializes row d
+// with statements 4-7 and reports the converged SOW and PTN rows in
+// rs.sow and rs.next; a warm run DMAs the seed row from rs.sow (two
+// instructions: ROW==d and its negation) and reports SOW only. On error
+// every machine temporary is back in the session's pools.
+func (s *Session) programDP(ctx context.Context, dest int, cold bool, rs *resolveState, maxIter int) (int, error) {
+	a := s.a
+	n := s.m.N()
 	rowIsD := s.row.EqConst(ppa.Word(dest))
-	colIsD := s.col.EqConst(ppa.Word(dest))
-	diag := s.diag
+	var colIsD *par.Bool
+	if cold {
+		colIsD = s.col.EqConst(ppa.Word(dest))
+	}
 	notD := rowIsD.Not()
 
 	W := s.W
@@ -337,60 +341,47 @@ func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
 	MinSOW := a.Zeros() // zero-initialized global: keeps SOW[d][d] pinned to 0
 	OldSOW := a.Zeros()
 
-	// Step 1 — initialization (statements 4-7). The DP needs
-	// SOW[d][j] = w_jd (cost of the 1-edge path j -> d), i.e. column d of
-	// W moved onto row d.
-	if opt.PaperInit {
-		a.Where(rowIsD, func() {
-			SOW.Assign(W)
-			PTN.AssignConst(ppa.Word(dest))
-		})
-	} else {
-		acrossRows := a.Broadcast(W, ppa.East, colIsD)       // (j, c) <- w_jd
-		ontoRowD := a.Broadcast(acrossRows, ppa.South, diag) // (r, j) <- w_jd
-		a.Where(rowIsD, func() {
-			SOW.Assign(ontoRowD)
-			PTN.AssignConst(ppa.Word(dest))
-		})
-		ontoRowD.Release()
-		acrossRows.Release()
-	}
-	// SOW[d][d] = 0: the empty path from d to itself (w_dd is 0 on the
-	// machine copy of W, so the paper's init gives the same).
-	atDD := rowIsD.And(colIsD)
-	a.Where(atDD, func() {
-		SOW.AssignConst(0)
-	})
-	atDD.Release()
-
-	// Step 2 — RMCP computation (statements 8-20), shared with the warm
-	// re-solve path.
-	iterations, loopErr := s.runDP(ctx, maxIter, rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
-
-	var res *Result
-	if loopErr == nil {
-		res = &Result{
-			Result: graph.Result{
-				Dest:       dest,
-				Dist:       make([]int64, n),
-				Next:       make([]int, n),
-				Iterations: iterations,
-			},
-			Metrics: m.Metrics().Sub(startMetrics),
-			Bits:    h,
+	if cold {
+		// Step 1 — initialization (statements 4-7). The DP needs
+		// SOW[d][j] = w_jd (cost of the 1-edge path j -> d), i.e. column d
+		// of W moved onto row d.
+		if s.opt.PaperInit {
+			a.Where(rowIsD, func() {
+				SOW.Assign(W)
+				PTN.AssignConst(ppa.Word(dest))
+			})
+		} else {
+			acrossRows := a.Broadcast(W, ppa.East, colIsD)         // (j, c) <- w_jd
+			ontoRowD := a.Broadcast(acrossRows, ppa.South, s.diag) // (r, j) <- w_jd
+			a.Where(rowIsD, func() {
+				SOW.Assign(ontoRowD)
+				PTN.AssignConst(ppa.Word(dest))
+			})
+			ontoRowD.Release()
+			acrossRows.Release()
 		}
+		// SOW[d][d] = 0: the empty path from d to itself (w_dd is 0 on
+		// the machine copy of W, so the paper's init gives the same).
+		atDD := rowIsD.And(colIsD)
+		a.Where(atDD, func() {
+			SOW.AssignConst(0)
+		})
+		atDD.Release()
+		colIsD.Release()
+	} else {
+		// A warm PTN's DP output is superseded by the canonical host
+		// reconstruction, so its zero seed is fine: the loop only ever
+		// writes it.
+		SOW.LoadRow(dest, rs.sow)
+	}
+
+	// Step 2 — RMCP computation (statements 8-20).
+	iterations, loopErr := s.runDP(ctx, maxIter, rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
+	if loopErr == nil {
 		for i := 0; i < n; i++ {
-			sow := SOW.At(dest, i)
-			switch {
-			case i == dest:
-				res.Dist[i] = 0
-				res.Next[i] = -1
-			case sow == inf:
-				res.Dist[i] = graph.NoEdge
-				res.Next[i] = -1
-			default:
-				res.Dist[i] = int64(sow)
-				res.Next[i] = int(PTN.At(dest, i))
+			rs.sow[i] = SOW.At(dest, i)
+			if cold {
+				rs.next[i] = int32(PTN.At(dest, i))
 			}
 		}
 	}
@@ -399,18 +390,45 @@ func (s *Session) SolveContext(ctx context.Context, dest int) (*Result, error) {
 	PTN.Release()
 	SOW.Release()
 	notD.Release()
-	colIsD.Release()
 	rowIsD.Release()
-	if loopErr != nil {
-		return nil, loopErr
+	return iterations, loopErr
+}
+
+// newResult builds the host Result from a converged row d on an h-bit
+// machine: machine-word distances (MAXINT for unreachable) and next
+// pointers, which are read only for reachable vertices other than dest.
+func newResult(dest int, sow []ppa.Word, next []int32, iterations int, m ppa.Metrics, h uint) *Result {
+	n := len(sow)
+	inf := ppa.Infinity(h)
+	res := &Result{
+		Result: graph.Result{
+			Dest:       dest,
+			Dist:       make([]int64, n),
+			Next:       make([]int, n),
+			Iterations: iterations,
+		},
+		Metrics: m,
+		Bits:    h,
 	}
-	return res, nil
+	for i, v := range sow {
+		switch {
+		case i == dest:
+			res.Dist[i] = 0
+			res.Next[i] = -1
+		case v == inf:
+			res.Dist[i] = graph.NoEdge
+			res.Next[i] = -1
+		default:
+			res.Dist[i] = int64(v)
+			res.Next[i] = int(next[i])
+		}
+	}
+	return res
 }
 
 // runDP runs the RMCP iteration (statements 8-20) to convergence on
-// already-initialized solution planes — the loop shared by the cold solve
-// (SolveContext) and the warm re-solve (Session.Resolve), which differ
-// only in how SOW and PTN are seeded. Early exits (cancellation,
+// already-initialized solution planes — programDP's loop for every seed,
+// cold or warm, which differ only in how SOW and PTN are seeded. Early exits (cancellation,
 // non-convergence) return with the error set and all loop temporaries
 // released — a cancelled request must not leak pool storage when its
 // session is reused; the caller still owns the planes it passed in.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ppamcp/internal/graph"
 	"ppamcp/internal/ppa"
 )
 
@@ -31,31 +30,26 @@ import (
 // with a tight edge (w_ij + dist_j = dist_i) whose own minimal optimal
 // path uses one edge less (PTN is written only on the round where SOW
 // last strictly improves, and the attaining set at that round is exactly
-// those j). A warm trajectory takes different rounds, so after
-// convergence Resolve reconstructs that canonical choice on the host —
-// a BFS from the destination over reversed tight edges assigns the
-// edge-count levels, then each vertex picks its smallest tight successor
-// one level down — making warm results bit-identical to cold ones, not
-// just cost-equal.
+// those j). A warm trajectory takes different rounds, and the fused lane
+// carries no PTN at all, so after convergence solveSeeded reconstructs
+// that canonical choice on the host (canonicalNext) for every warm row
+// and every fused row — a BFS from the destination over reversed tight
+// edges assigns the edge-count levels, then each vertex picks its
+// smallest tight successor one level down — making those results
+// bit-identical to the oracle's cold ones, not just cost-equal.
 //
-// Like the batched sweep, the warm path has a fused fast lane
-// (resolveFast): rounds are computed as O(n²) host word scans while every
-// fabric transaction of the reference sequence is shadow-charged
-// (ChargeBroadcast / ChargeWiredOr with the same switch planes, a real
-// GlobalOrBits on the maintained predicate plane) and every SIMD
-// instruction counted, so Metrics, Iterations and the observer event
-// stream are byte-identical to the general warm path (resolveGeneral,
-// which runs the real machine program and serves virtualized, reference,
-// and switch-only fabrics).
+// The warm seed runs on the same two lanes as the cold one (solveSeeded):
+// the fused lane (fusedDP, sweep.go) wherever sweepMachine allows it, and
+// the machine-program oracle (programDP, mcp.go) on virtualized,
+// reference-kernel and switch-only fabrics. Only the seed and its init
+// charges differ.
 
-// resolveState is the warm-path scratch, allocated on first Resolve and
-// reused for every re-solve thereafter (steady state allocates only the
-// yielded Result).
+// resolveState is the host scratch of the seeded DP, allocated on the
+// first solve and reused for every solve thereafter (steady state
+// allocates only the yielded Result).
 type resolveState struct {
-	sow   []ppa.Word // working distances: seed in, converged out
-	rmin  []ppa.Word // per-row candidate minima (fast path)
-	rarg  []int32    // per-row first arg-min (fast path)
-	next  []int32    // canonical next pointers out
+	sow   []ppa.Word // working row d of SOW: seed in, converged out
+	next  []int32    // next pointers out
 	hops  []int32    // tight-edge BFS levels
 	q     []int32    // BFS queue
 	head  []int32    // shortest-path-tree children lists (invalidation)
@@ -70,8 +64,6 @@ func (s *Session) resolveScratch() *resolveState {
 	n := s.m.N()
 	s.rs = &resolveState{
 		sow:   make([]ppa.Word, n),
-		rmin:  make([]ppa.Word, n),
-		rarg:  make([]int32, n),
 		next:  make([]int32, n),
 		hops:  make([]int32, n),
 		q:     make([]int32, 0, n),
@@ -104,23 +96,16 @@ func (s *Session) Resolve(ctx context.Context, dest int) (*Result, error) {
 
 // resolveOne is the shared per-destination dispatch of Resolve and
 // ResolveSweep: warm re-solve when a usable snapshot exists, cold solve
-// (retained for next time) otherwise. allowSkip enables ResolveSweep's
-// skip-converged fast-out (resolvesweep.go); Resolve keeps it off so its
-// per-call contract — the DP runs and Iterations >= 1 — is unchanged.
+// otherwise, retaining the solution for next time. allowSkip enables
+// ResolveSweep's skip-converged fast-out (resolvesweep.go); Resolve keeps
+// it off so its per-call contract — the DP runs and Iterations >= 1 — is
+// unchanged.
 func (s *Session) resolveOne(ctx context.Context, dest int, allowSkip bool) (*Result, error) {
-	if w := s.warmUsable(dest); w != nil {
-		if allowSkip && !s.warmAffected(dest, w) {
-			return s.emitRetained(dest, w), nil
-		}
-		return s.resolveWarm(ctx, dest, w)
+	w := s.warmUsable(dest)
+	if w != nil && allowSkip && !s.warmAffected(dest, w) {
+		return s.emitRetained(dest, w), nil
 	}
-	var r *Result
-	var err error
-	if pm := s.sweepMachine(); pm != nil {
-		r, err = s.solveSweepFast(ctx, pm, dest)
-	} else {
-		r, err = s.SolveContext(ctx, dest)
-	}
+	r, err := s.solveSeeded(ctx, dest, w, s.sweepMachine())
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +113,45 @@ func (s *Session) resolveOne(ctx context.Context, dest int, allowSkip bool) (*Re
 		s.retain(dest, r)
 	}
 	return r, nil
+}
+
+// solveSeeded runs the DP for dest from a row-d seed and builds its
+// Result. The seed is cold (w == nil: the 1-edge costs of statements
+// 4-7) or warm (w's retained row with applyIncreases' invalidations).
+// A non-nil pm selects the fused lane (fusedDP), nil the machine-program
+// oracle (programDP). Next is canonicalNext's reconstruction except on
+// a cold oracle run, which reports the machine's own PTN row — the
+// reference the reconstruction is pinned to, and the only correct
+// answer on faulty and PaperInit fabrics.
+func (s *Session) solveSeeded(ctx context.Context, dest int, w *warmDest, pm *ppa.Machine) (*Result, error) {
+	n := s.m.N()
+	h := s.m.Bits()
+	inf := ppa.Infinity(h)
+	maxIter := s.opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = n + 1
+	}
+	rs := s.resolveScratch()
+	cold := w == nil
+	if !cold {
+		copy(rs.sow, w.sow)
+		s.applyIncreases(w, rs, inf)
+	}
+	startMetrics := s.m.Metrics()
+	var iterations int
+	var err error
+	if pm != nil {
+		iterations, err = s.fusedDP(ctx, pm, dest, cold, rs, maxIter)
+	} else {
+		iterations, err = s.programDP(ctx, dest, cold, rs, maxIter)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if pm != nil || !cold {
+		s.canonicalNext(dest, rs, inf)
+	}
+	return newResult(dest, rs.sow, rs.next, iterations, s.m.Metrics().Sub(startMetrics), h), nil
 }
 
 // retainable reports whether solutions may be retained and reused as warm
@@ -153,65 +177,6 @@ func (s *Session) warmUsable(dest int) *warmDest {
 		return nil
 	}
 	return w
-}
-
-// resolveWarm is the warm re-solve: seed from the snapshot, invalidate
-// what the logged increases may have broken, iterate to convergence,
-// reconstruct the canonical next pointers, refresh the snapshot.
-func (s *Session) resolveWarm(ctx context.Context, dest int, w *warmDest) (*Result, error) {
-	n := s.m.N()
-	h := s.m.Bits()
-	inf := ppa.Infinity(h)
-	maxIter := s.opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
-	rs := s.resolveScratch()
-	copy(rs.sow, w.sow)
-	s.applyIncreases(w, rs, inf)
-
-	startMetrics := s.m.Metrics()
-	var iterations int
-	var err error
-	if pm := s.sweepMachine(); pm != nil {
-		iterations, err = s.resolveFast(ctx, pm, dest, rs, maxIter)
-	} else {
-		iterations, err = s.resolveGeneral(ctx, dest, rs, maxIter)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.canonicalNext(dest, rs, inf)
-
-	res := &Result{
-		Result: graph.Result{
-			Dest:       dest,
-			Dist:       make([]int64, n),
-			Next:       make([]int, n),
-			Iterations: iterations,
-		},
-		Metrics: s.m.Metrics().Sub(startMetrics),
-		Bits:    h,
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case i == dest:
-			res.Dist[i] = 0
-			res.Next[i] = -1
-		case rs.sow[i] == inf:
-			res.Dist[i] = graph.NoEdge
-			res.Next[i] = -1
-		default:
-			res.Dist[i] = int64(rs.sow[i])
-			res.Next[i] = int(rs.next[i])
-		}
-	}
-	copy(w.sow, rs.sow)
-	w.sow[dest] = 0
-	copy(w.next, rs.next)
-	w.ver = s.version
-	s.pruneLog()
-	return res, nil
 }
 
 // applyIncreases raises to MAXINT every seed entry whose recorded path may
@@ -270,175 +235,6 @@ func (s *Session) applyIncreases(w *warmDest, rs *resolveState, inf ppa.Word) {
 		}
 	}
 	rs.stack = stack[:0]
-}
-
-// resolveGeneral runs the warm DP as the real machine program — the path
-// for virtualized fabrics, reference kernels and the switch-only bus
-// model. Init is two instructions (ROW==d, its negation) plus the
-// row-d seed DMA; the loop is SolveContext's own (runDP).
-func (s *Session) resolveGeneral(ctx context.Context, dest int, rs *resolveState, maxIter int) (int, error) {
-	a := s.a
-	n := s.m.N()
-	rowIsD := s.row.EqConst(ppa.Word(dest))
-	notD := rowIsD.Not()
-	SOW := a.Zeros()
-	PTN := a.Zeros()
-	MinSOW := a.Zeros() // zero row d keeps SOW[d][d] pinned to 0, as in Solve
-	OldSOW := a.Zeros()
-	SOW.LoadRow(dest, rs.sow)
-	// PTN's DP output is superseded by the canonical host reconstruction
-	// (see the file comment), so its zero seed is fine: the loop only ever
-	// writes it.
-	iterations, loopErr := s.runDP(ctx, maxIter, rowIsD, notD, SOW, PTN, MinSOW, OldSOW)
-	if loopErr == nil {
-		for i := 0; i < n; i++ {
-			rs.sow[i] = SOW.At(dest, i)
-		}
-	}
-	OldSOW.Release()
-	MinSOW.Release()
-	PTN.Release()
-	SOW.Release()
-	notD.Release()
-	rowIsD.Release()
-	if loopErr != nil {
-		return 0, loopErr
-	}
-	return iterations, nil
-}
-
-// resolveFast is the fused warm loop: rounds as host word scans over the
-// candidate vectors, every fabric transaction of resolveGeneral's
-// sequence shadow-charged in order with the same switch planes (the
-// attaining-lane sets the walks would leave in `enable` are rebuilt so
-// observer Opens counts match), and the statement-20 predicate resolved
-// by a real global-OR. Metrics/Iterations/event-stream parity with
-// resolveGeneral is pinned by TestResolveFastGeneralParity.
-func (s *Session) resolveFast(ctx context.Context, pm *ppa.Machine, dest int, rs *resolveState, maxIter int) (int, error) {
-	n := s.m.N()
-	h := pm.Bits()
-	hh := int(h)
-	size := int64(n) * int64(n)
-	inf := ppa.Infinity(h)
-	w := s.sweep()
-	W := s.W.Words()
-	diagBits := s.diag.Bits()
-	headBits := s.rowHead.Bits()
-	charge := func(k int) {
-		for i := 0; i < k; i++ {
-			pm.CountInstr()
-			pm.CountPE(size)
-		}
-	}
-
-	// Warm init, shadowing resolveGeneral: selector retarget charged as
-	// the EqConst it replaces, the Not, and the uncharged row-d seed DMA.
-	w.retarget(dest, n)
-	charge(1) // rowIsD = ROW.EqConst(d)
-	charge(1) // notD = rowIsD.Not()
-	copy(w.sowd, rs.sow)
-	w.pred.Fill(false)
-
-	iterations := 0
-	var loopErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			loopErr = err
-			break
-		}
-		iterations++
-		if iterations > maxIter {
-			loopErr = fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
-			break
-		}
-
-		// Statement 10: candidate plane, then each row's minimum and first
-		// arg-min in one scan — the values both bus walks would extract.
-		sweepCand(w.cand, w.sowd, W, dest, n, inf)
-		pm.ChargeBroadcast(ppa.South, w.rowBits)
-		charge(2) // cand = down.AddSat(W); SOW.Assign (where !=d)
-		for i := 0; i < n; i++ {
-			row := w.cand[i*n : i*n+n]
-			mv, ma := row[0], 0
-			for j := 1; j < n; j++ {
-				if row[j] < mv {
-					mv, ma = row[j], j
-				}
-			}
-			rs.rmin[i], rs.rarg[i] = mv, int32(ma)
-		}
-
-		// Statement 11: Min(SOW, WEST, COL==n-1), charge-only walk.
-		charge(hh) // per-plane gathers
-		charge(1)  // enable = True()
-		for j := 0; j < hh; j++ {
-			charge(2) // Not + And(enable)
-			pm.ChargeWiredOr(ppa.West, headBits)
-			charge(2) // And + masked withdraw
-		}
-		charge(1) // result = src.Copy()
-		// After the walk, enable holds every lane attaining its row
-		// minimum — rebuilt so the broadcast event's Opens count matches.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			row := w.cand[i*n : i*n+n]
-			mv := rs.rmin[i]
-			for j, v := range row {
-				if v == mv {
-					w.enable.Set(i*n + j)
-				}
-			}
-		}
-		pm.ChargeBroadcast(ppa.East, w.enable) // survivors send upstream
-		pm.ChargeBroadcast(ppa.West, headBits) // heads spread the minima
-		charge(1)                              // MinSOW.Assign (where !=d)
-		charge(1)                              // sel = rowMin.Eq(SOW)
-
-		// Statement 12: SelectedMin(COL, WEST, COL==n-1, sel).
-		charge(hh) // gathers
-		charge(1)  // enable = sel.Copy()
-		for j := 0; j < hh; j++ {
-			charge(2)
-			pm.ChargeWiredOr(ppa.West, headBits)
-			charge(2)
-		}
-		charge(1) // result = src.Copy()
-		// The column walk leaves exactly the first attaining lane per row.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			w.enable.Set(i*n + int(rs.rarg[i]))
-		}
-		pm.ChargeBroadcast(ppa.East, w.enable)
-		pm.ChargeBroadcast(ppa.West, headBits)
-		charge(1) // PTN.Assign (where !=d)
-
-		// Statements 14-19: fold into row d via the diagonal.
-		pm.ChargeBroadcast(ppa.South, diagBits) // newRow
-		pm.ChargeBroadcast(ppa.South, diagBits) // newPTN
-		charge(4)                               // OldSOW.Assign; SOW.Assign; changed = Ne; PTN.Assign
-		w.pred.FillRange(dest*n, dest*n+n, false)
-		for j := 0; j < n; j++ {
-			nv := rs.rmin[j]
-			if j == dest {
-				nv = 0 // MinSOW[d][d] stays pinned to 0
-			}
-			if nv != w.sowd[j] {
-				w.pred.Set(dest*n + j)
-				w.sowd[j] = nv
-			}
-		}
-
-		// Statement 20: while at least one SOW in row d has changed.
-		charge(2) // ne = SOW.Ne(OldSOW); pred = rowIsD.And(ne)
-		if !pm.GlobalOrBits(w.pred) {
-			break
-		}
-	}
-	if loopErr != nil {
-		return 0, loopErr
-	}
-	copy(rs.sow, w.sowd)
-	return iterations, nil
 }
 
 // canonicalNext rebuilds, from converged distances, the next pointers the

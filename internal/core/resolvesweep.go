@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"ppamcp/internal/graph"
 	"ppamcp/internal/ppa"
 )
 
@@ -128,30 +127,7 @@ func (s *Session) warmAffected(dest int, w *warmDest) bool {
 // snapshot version is refreshed (the certificate just proved the row
 // current) so later sweeps only replay newer log entries.
 func (s *Session) emitRetained(dest int, w *warmDest) *Result {
-	n := s.m.N()
-	h := s.m.Bits()
-	inf := ppa.Infinity(h)
-	res := &Result{
-		Result: graph.Result{
-			Dest: dest,
-			Dist: make([]int64, n),
-			Next: make([]int, n),
-		},
-		Bits: h,
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case i == dest:
-			res.Dist[i] = 0
-			res.Next[i] = -1
-		case w.sow[i] == inf:
-			res.Dist[i] = graph.NoEdge
-			res.Next[i] = -1
-		default:
-			res.Dist[i] = int64(w.sow[i])
-			res.Next[i] = int(w.next[i])
-		}
-	}
+	res := newResult(dest, w.sow, w.next, 0, ppa.Metrics{}, s.m.Bits())
 	w.ver = s.version
 	s.pruneLog()
 	return res

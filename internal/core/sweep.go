@@ -4,59 +4,63 @@ import (
 	"context"
 	"fmt"
 
-	"ppamcp/internal/graph"
-	"ppamcp/internal/par"
 	"ppamcp/internal/ppa"
 )
 
-// This file is the batched multi-destination sweep driver: one warm
-// session streams the single-destination DP for a whole list of
-// destinations, paying the weight DMA and the session setup once.
+// This file is the batched multi-destination sweep driver and the fused
+// DP lane every sweep row runs on.
 //
-// The fast path (solveSweepFast) is a fused host execution of exactly the
-// instruction sequence SolveContext issues, under the same shadow-charge
-// discipline as par's fused reductions (par/fused.go): every wired-OR and
-// global-OR is a real fabric transaction, every broadcast whose data
-// movement the host has computed algebraically is charged through
-// ppa.Machine.ChargeBroadcast with the same switch configuration, and
-// every SIMD instruction of the reference pipeline is counted. Metrics,
-// observer event streams, iteration counts and outputs are byte-identical
-// to a sequential Session.Solve loop by construction (pinned by the
-// sweep parity tests).
+// SolveSweep streams the single-destination DP for a whole list of
+// destinations off one warm session, paying the weight DMA and the
+// session setup once. Each row runs the seeded DP (solveSeeded,
+// resolve.go) from its cold seed: column d of W moved onto row d, with
+// SOW[d][d] = 0.
 //
-// What makes the sweep cheap is liveness: between iterations the DP's
-// only live machine state is row d of SOW and PTN. Every broadcast the
-// loop issues reads either row d (open = ROW==d) or the diagonal (which
-// reflects row d's update one statement later), and every store to rows
-// != d is overwritten before it is next read. The fast path therefore
-// keeps the DP state as three n-vectors (sowd, ptnd and the candidate
-// row minima), re-materializing the full n x n candidate plane only as
-// packed bit planes for the wired-OR minimum walks — one fused pass that
-// replaces the broadcast + saturating add + masked store + plane-slicing
-// traversals of the general path. The per-destination re-initialization
-// is an incremental plane edit: the ROW==d / COL==d selector planes are
-// retargeted with two stripe edits (FillRange / FillStride) instead of
-// full EqConst rebuilds, charged as the EqConst instructions they shadow.
+// The fused lane (fusedDP) is a host execution of the paper's RMCP loop
+// (statements 8-20) from any row-d seed — cold, or a retained warm row.
+// What makes it cheap is liveness: between iterations the DP's only live
+// machine state is row d of SOW. Every broadcast the loop issues reads
+// either row d (open = ROW==d) or the diagonal (which reflects row d's
+// update one statement later), and every store to rows != d is
+// overwritten before it is next read. So each round is one host word
+// scan: the statement-10 candidate cand(i, j) = sat(SOW[d][j] + w_ij),
+// each row's minimum (statement 11) and first arg-min (statement 12),
+// then the fold back into row d (statements 14-19).
+//
+// Every fabric transaction of the machine program is shadow-charged in
+// the same order, with the same switch planes: ChargeBroadcast and
+// ChargeWiredOr for bus transactions whose outcome the scan already
+// knows (the attaining-lane sets the walks would leave in enable are
+// rebuilt so observer Opens counts match), a real GlobalOrBits for the
+// statement-20 loop test, and every SIMD instruction counted. Metrics,
+// observer event streams and iteration counts are therefore identical
+// to the machine-program oracle (programDP, mcp.go). The lane does
+// not track PTN: Next comes from canonicalNext, which rebuilds from the
+// converged distances exactly the pointers the cold DP's PTN holds (see
+// resolve.go). Parity with the oracle is pinned by the sweep, resolve and
+// seeded-lane parity tests.
+//
+// The per-destination re-initialization is an incremental plane edit:
+// the ROW==d / COL==d selector planes are retargeted with two stripe
+// edits (FillRange / FillStride) instead of full EqConst rebuilds,
+// charged as the EqConst instructions they shadow.
 
-// sweepState is the per-session scratch of the fast path, allocated on
+// sweepState is the per-session scratch of the fused lane, allocated on
 // first use and reused across every destination of every sweep — the
 // steady-state sweep performs O(1) allocations per destination (the
 // Result it yields).
 type sweepState struct {
 	dest             int // current selector-plane target (-1 = none yet)
 	rowBits, colBits *ppa.Bitset
-	enable, drive    *ppa.Bitset
-	pred             *ppa.Bitset
-	planes           []uint64 // h candidate bit planes, packed lane order
-	colPlanes        []uint64 // cached bit planes of the COL coordinate
-	cand             []ppa.Word
-	sowd, ptnd       []ppa.Word
-	wpp              int // words per plane
+	enable, pred     *ppa.Bitset
+	rmin             []ppa.Word // per-row candidate minima
+	rarg             []int32    // per-row first arg-min
+	zero             []ppa.Word // row d's weights: its candidate is SOW[d] itself
 }
 
 // retarget repoints the cached ROW==d / COL==d selector planes at a new
-// destination with two stripe edits each — the host-side move the fast
-// paths charge as the EqConst rebuilds it replaces.
+// destination with two stripe edits each — the host-side move the fused
+// lane charges as the EqConst rebuilds it replaces.
 func (w *sweepState) retarget(dest, n int) {
 	if w.dest == dest {
 		return
@@ -76,28 +80,17 @@ func (s *Session) sweep() *sweepState {
 	}
 	n := s.m.N()
 	size := n * n
-	h := int(s.m.Bits())
-	wpp := (size + 63) >> 6
-	w := &sweepState{
-		dest:      -1,
-		rowBits:   ppa.NewBitset(size),
-		colBits:   ppa.NewBitset(size),
-		enable:    ppa.NewBitset(size),
-		drive:     ppa.NewBitset(size),
-		pred:      ppa.NewBitset(size),
-		planes:    make([]uint64, h*wpp),
-		colPlanes: make([]uint64, h*wpp),
-		cand:      make([]ppa.Word, size),
-		sowd:      make([]ppa.Word, n),
-		ptnd:      make([]ppa.Word, n),
-		wpp:       wpp,
+	s.sw = &sweepState{
+		dest:    -1,
+		rowBits: ppa.NewBitset(size),
+		colBits: ppa.NewBitset(size),
+		enable:  ppa.NewBitset(size),
+		pred:    ppa.NewBitset(size),
+		rmin:    make([]ppa.Word, n),
+		rarg:    make([]int32, n),
+		zero:    make([]ppa.Word, n),
 	}
-	// COL is constant for the session: slice its planes once instead of
-	// once per SelectedMin (the single hottest traversal of the general
-	// path's profile).
-	par.SlicePlanes(w.colPlanes, s.col.Words(), h, wpp)
-	s.sw = w
-	return w
+	return s.sw
 }
 
 // DestError is the typed validation error SolveSweep and ResolveSweep
@@ -162,17 +155,7 @@ func (s *Session) SolveSweep(ctx context.Context, dests []int, yield func(*Resul
 		return err
 	}
 	for _, d := range dests {
-		var r *Result
-		var err error
-		if pm := s.sweepMachine(); pm != nil {
-			r, err = s.solveSweepFast(ctx, pm, d)
-		} else {
-			// General path: virtualized fabrics, injected faults, the
-			// switch-only bus model, reference kernels and the paper's
-			// verbatim init all run the reference instruction sequence —
-			// trivially parity-exact.
-			r, err = s.SolveContext(ctx, d)
-		}
+		r, err := s.solveSeeded(ctx, d, nil, s.sweepMachine())
 		if err != nil {
 			return err
 		}
@@ -183,10 +166,10 @@ func (s *Session) SolveSweep(ctx context.Context, dests []int, yield func(*Resul
 	return nil
 }
 
-// sweepMachine returns the plain machine the fused sweep path may drive,
-// or nil when the reference sequence must run. Re-checked per destination
-// so a fault injected mid-sweep (e.g. from a yield callback) demotes the
-// remainder of the sweep to the reference path, mirroring fusedOn.
+// sweepMachine returns the plain machine the fused lane may drive, or nil
+// when the machine-program oracle must run. Re-checked per destination so
+// a fault injected mid-sweep (e.g. from a yield callback) demotes the
+// remainder of the sweep to the oracle, mirroring fusedOn.
 func (s *Session) sweepMachine() *ppa.Machine {
 	if s.opt.SwitchOnlyBus || s.opt.ReferenceKernels || s.opt.PaperInit || !s.a.Fused() {
 		return nil
@@ -198,48 +181,22 @@ func (s *Session) sweepMachine() *ppa.Machine {
 	return pm
 }
 
-// sweepCand computes the statement-10 candidate plane
-// cand(i, j) = sat(SOW[d][j] + w_ij) for i != d, with row d holding
-// SOW[d] itself (the masked store skips it) — the fused equivalent of
-// broadcast-South + AddSat + Assign-where-not-d.
-func sweepCand(dst, sowd, w []ppa.Word, d, n int, inf ppa.Word) {
-	for i := 0; i < n; i++ {
-		row := dst[i*n : i*n+n]
-		if i == d {
-			copy(row, sowd)
-			continue
-		}
-		wrow := w[i*n : i*n+n]
-		for j, wv := range wrow {
-			sv := sowd[j] + wv // lanes are in [0, inf]: no overflow
-			if sv > inf {
-				sv = inf
-			}
-			row[j] = sv
-		}
-	}
-}
-
-// solveSweepFast is one destination of the fused sweep (see the file
-// comment for the discipline and the liveness argument).
-func (s *Session) solveSweepFast(ctx context.Context, pm *ppa.Machine, dest int) (*Result, error) {
-	g := s.g
-	n := g.N
-	if dest < 0 || dest >= n {
-		return nil, fmt.Errorf("core: destination %d out of range [0,%d)", dest, n)
-	}
+// fusedDP is the fused DP lane (see the file comment): it iterates the
+// row-d seed in rs.sow to convergence in place and returns the round
+// count. A cold seed is written here and charged as the oracle's
+// statements 4-7; a warm seed is the caller's, charged as the oracle's
+// EqConst + Not.
+func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold bool, rs *resolveState, maxIter int) (int, error) {
+	n := s.m.N()
 	h := pm.Bits()
 	hh := int(h)
 	size := int64(n) * int64(n)
 	inf := ppa.Infinity(h)
-	maxIter := s.opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
 	w := s.sweep()
 	W := s.W.Words()
 	diagBits := s.diag.Bits()
 	headBits := s.rowHead.Bits()
+	sow := rs.sow
 	// charge mirrors par.Array.instr k times: one controller instruction,
 	// executed by all n*n PEs.
 	charge := func(k int) {
@@ -248,149 +205,132 @@ func (s *Session) solveSweepFast(ctx context.Context, pm *ppa.Machine, dest int)
 			pm.CountPE(size)
 		}
 	}
-	startMetrics := pm.Metrics()
 
-	// Per-solve init, shadowing SolveContext statements 4-7. The selector
-	// planes are retargeted with stripe edits; the charges are those of
-	// the EqConst rebuilds they replace.
 	w.retarget(dest, n)
-	charge(2) // rowIsD = ROW.EqConst(d); colIsD = COL.EqConst(d)
-	charge(1) // notD = rowIsD.Not()
-	// Corrected init: column d of W moved onto row d (two bus cycles),
-	// SOW[d][d] pinned to 0, PTN row d seeded with d.
-	for j := 0; j < n; j++ {
-		w.sowd[j] = W[j*n+dest]
-		w.ptnd[j] = ppa.Word(dest)
+	if cold {
+		charge(2) // rowIsD = ROW.EqConst(d); colIsD = COL.EqConst(d)
+		charge(1) // notD = rowIsD.Not()
+		// Corrected init: column d of W moved onto row d (two bus
+		// cycles), SOW[d][d] pinned to 0, PTN row d seeded with d.
+		for j := 0; j < n; j++ {
+			sow[j] = W[j*n+dest]
+		}
+		sow[dest] = 0
+		pm.ChargeBroadcast(ppa.East, w.colBits) // acrossRows: (j, c) <- w_jd
+		pm.ChargeBroadcast(ppa.South, diagBits) // ontoRowD: (r, j) <- w_jd
+		charge(2)                               // SOW.Assign; PTN.AssignConst (where ROW==d)
+		charge(1)                               // atDD = rowIsD.And(colIsD)
+		charge(1)                               // SOW.AssignConst(0) (where atDD)
+	} else {
+		charge(1) // rowIsD = ROW.EqConst(d)
+		charge(1) // notD = rowIsD.Not(); the seed row DMA is uncharged
 	}
-	w.sowd[dest] = 0
-	pm.ChargeBroadcast(ppa.East, w.colBits) // acrossRows: (j, c) <- w_jd
-	pm.ChargeBroadcast(ppa.South, diagBits) // ontoRowD: (r, j) <- w_jd
-	charge(2)                               // SOW.Assign; PTN.AssignConst (where ROW==d)
-	charge(1)                               // atDD = rowIsD.And(colIsD)
-	charge(1)                               // SOW.AssignConst(0) (where atDD)
 	w.pred.Fill(false)
 
-	ew, dw := w.enable.Words(), w.drive.Words()
+	// wrow returns row i of the candidate's weight operand: W's row, or
+	// zeros on row d, whose candidate is SOW[d] itself (the masked store
+	// of statement 10 skips it).
+	wrow := func(i int) []ppa.Word {
+		if i == dest {
+			return w.zero
+		}
+		return W[i*n : i*n+n]
+	}
+
 	iterations := 0
-	var loopErr error
 	for {
 		if err := ctx.Err(); err != nil {
-			loopErr = err
-			break
+			return 0, err
 		}
 		iterations++
 		if iterations > maxIter {
-			loopErr = fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
-			break
+			return 0, fmt.Errorf("core: DP did not converge within %d rounds", maxIter)
 		}
 
-		// Statement 10, fused: candidate plane sliced straight into bit
-		// planes for the minimum walk.
-		sweepCand(w.cand, w.sowd, W, dest, n, inf)
-		par.SlicePlanes(w.planes, w.cand, hh, w.wpp)
+		// Statement 10, then each row's candidate minimum and first
+		// arg-min in one scan — the values both bus walks would extract.
 		pm.ChargeBroadcast(ppa.South, w.rowBits) // down = broadcast(SOW, SOUTH, ROW==d)
 		charge(2)                                // cand = down.AddSat(W); SOW.Assign (where !=d)
+		for i := 0; i < n; i++ {
+			mv, ma := inf, 0
+			for j, wv := range wrow(i) {
+				// Lanes are in [0, inf]: no overflow, and a sum past inf
+				// saturates to inf, which never beats mv <= inf.
+				if v := sow[j] + wv; v < mv {
+					mv, ma = v, j
+				}
+			}
+			w.rmin[i], w.rarg[i] = mv, int32(ma)
+		}
 
-		// Statement 11: Min(SOW, WEST, COL==n-1) — the fused walk of
-		// par.fusedReduce with the gathers pre-done by SlicePlanes.
-		charge(hh) // per-plane BitPlane gathers
-		w.enable.Fill(true)
-		charge(1) // enable = True()
-		for j := hh - 1; j >= 0; j-- {
-			pw := w.planes[j*w.wpp : (j+1)*w.wpp]
-			for k, e := range ew {
-				dw[k] = ^pw[k] & e
-			}
+		// Statement 11: Min(SOW, WEST, COL==n-1), charge-only walk.
+		charge(hh) // per-plane gathers
+		charge(1)  // enable = True()
+		for j := 0; j < hh; j++ {
 			charge(2) // Not + And(enable)
-			pm.WiredOrBits(ppa.West, headBits, w.drive, w.drive)
-			for k, dv := range dw {
-				ew[k] &^= dv & pw[k]
-			}
+			pm.ChargeWiredOr(ppa.West, headBits)
 			charge(2) // And + masked withdraw
 		}
-		charge(1)                              // result = src.Copy()
+		charge(1) // result = src.Copy()
+		// After the walk, enable holds every lane attaining its row
+		// minimum — rebuilt so the broadcast event's Opens count matches.
+		w.enable.Fill(false)
+		for i := 0; i < n; i++ {
+			mv := w.rmin[i]
+			for j, wv := range wrow(i) {
+				v := sow[j] + wv
+				if v > inf {
+					v = inf
+				}
+				if v == mv {
+					w.enable.Set(i*n + j)
+				}
+			}
+		}
 		pm.ChargeBroadcast(ppa.East, w.enable) // survivors send upstream
 		pm.ChargeBroadcast(ppa.West, headBits) // heads spread the minima
 		charge(1)                              // MinSOW.Assign (where !=d)
 		charge(1)                              // sel = rowMin.Eq(SOW)
 
-		// Statement 12: SelectedMin(COL, WEST, COL==n-1, sel). The
-		// survivors of the minimum walk are exactly sel, so the walk
-		// continues in place over the cached column planes.
+		// Statement 12: SelectedMin(COL, WEST, COL==n-1, sel).
 		charge(hh) // gathers
 		charge(1)  // enable = sel.Copy()
-		for j := hh - 1; j >= 0; j-- {
-			pw := w.colPlanes[j*w.wpp : (j+1)*w.wpp]
-			for k, e := range ew {
-				dw[k] = ^pw[k] & e
-			}
+		for j := 0; j < hh; j++ {
 			charge(2)
-			pm.WiredOrBits(ppa.West, headBits, w.drive, w.drive)
-			for k, dv := range dw {
-				ew[k] &^= dv & pw[k]
-			}
+			pm.ChargeWiredOr(ppa.West, headBits)
 			charge(2)
 		}
-		charge(1)                              // result = src.Copy()
-		pm.ChargeBroadcast(ppa.East, w.enable) // single survivor per row
+		charge(1) // result = src.Copy()
+		// The column walk leaves exactly the first attaining lane per row.
+		w.enable.Fill(false)
+		for i := 0; i < n; i++ {
+			w.enable.Set(i*n + int(w.rarg[i]))
+		}
+		pm.ChargeBroadcast(ppa.East, w.enable)
 		pm.ChargeBroadcast(ppa.West, headBits)
 		charge(1) // PTN.Assign (where !=d)
 
 		// Statements 14-19: fold the per-row minima back into row d via
-		// the diagonal; update PTN where the cost improved. After both
-		// walks each row's enable holds exactly the first lane attaining
-		// the row minimum: its column is the SelectedMin result and its
-		// candidate value the Min result.
+		// the diagonal.
 		pm.ChargeBroadcast(ppa.South, diagBits) // newRow
 		pm.ChargeBroadcast(ppa.South, diagBits) // newPTN
 		charge(4)                               // OldSOW.Assign; SOW.Assign; changed = Ne; PTN.Assign
 		w.pred.FillRange(dest*n, dest*n+n, false)
 		for j := 0; j < n; j++ {
-			jf := w.enable.NextSet(j*n, j*n+n)
-			nv := w.cand[jf]
+			nv := w.rmin[j]
 			if j == dest {
 				nv = 0 // MinSOW[d][d] stays pinned to 0
 			}
-			if nv != w.sowd[j] {
+			if nv != sow[j] {
 				w.pred.Set(dest*n + j)
-				w.ptnd[j] = ppa.Word(jf - j*n)
-				w.sowd[j] = nv
+				sow[j] = nv
 			}
 		}
 
 		// Statement 20: while at least one SOW in row d has changed.
 		charge(2) // ne = SOW.Ne(OldSOW); pred = rowIsD.And(ne)
 		if !pm.GlobalOrBits(w.pred) {
-			break
+			return iterations, nil
 		}
 	}
-	if loopErr != nil {
-		return nil, loopErr
-	}
-
-	res := &Result{
-		Result: graph.Result{
-			Dest:       dest,
-			Dist:       make([]int64, n),
-			Next:       make([]int, n),
-			Iterations: iterations,
-		},
-		Metrics: pm.Metrics().Sub(startMetrics),
-		Bits:    h,
-	}
-	for i := 0; i < n; i++ {
-		sow := w.sowd[i]
-		switch {
-		case i == dest:
-			res.Dist[i] = 0
-			res.Next[i] = -1
-		case sow == inf:
-			res.Dist[i] = graph.NoEdge
-			res.Next[i] = -1
-		default:
-			res.Dist[i] = int64(sow)
-			res.Next[i] = int(w.ptnd[i])
-		}
-	}
-	return res, nil
 }

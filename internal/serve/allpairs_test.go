@@ -172,6 +172,55 @@ func TestAllPairsE2E(t *testing.T) {
 	}
 }
 
+// TestAllPairsLatencyHistogram pins the histogram split: a /v1/allpairs
+// stream is observed in ppaserved_allpairs_stream_seconds and leaves the
+// /v1/solve latency histogram untouched.
+func TestAllPairsLatencyHistogram(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}()
+	counts := func() (solve, allPairs string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), "ppaserved_solve_latency_seconds_count "); ok {
+				solve = v
+			}
+			if v, ok := strings.CutPrefix(sc.Text(), "ppaserved_allpairs_stream_seconds_count "); ok {
+				allPairs = v
+			}
+		}
+		return solve, allPairs
+	}
+
+	g := graph.GenRandomConnected(8, 0.4, 9, 3)
+	if code, _, er, _ := postSolve(t, ts.Client(), ts.URL, SolveRequest{Graph: rawGraph(t, g), Dests: []int{0}}); code != http.StatusOK {
+		t.Fatalf("solve: status %d (%v)", code, er)
+	}
+	if solve, allPairs := counts(); solve != "1" || allPairs != "0" {
+		t.Fatalf("after one solve: solve count %q, allpairs count %q; want 1 and 0", solve, allPairs)
+	}
+	st := postAllPairs(t, ts.Client(), ts.URL, AllPairsRequest{Graph: rawGraph(t, g)})
+	if st.code != http.StatusOK {
+		t.Fatalf("allpairs: status %d (%v)", st.code, st.er)
+	}
+	if solve, allPairs := counts(); solve != "1" || allPairs != "1" {
+		t.Fatalf("after one allpairs stream: solve count %q, allpairs count %q; want 1 and 1", solve, allPairs)
+	}
+}
+
 // TestAllPairsDrainMidStream starts a slow sweep, initiates shutdown
 // while rows are still streaming, and requires the stream to complete:
 // shutdown drains in-flight batches rather than truncating them.

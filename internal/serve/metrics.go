@@ -10,11 +10,45 @@ import (
 	"ppamcp/internal/ppa"
 )
 
-// latencyBuckets are the upper bounds (seconds) of the solve-latency
-// histogram; +Inf is implicit. Warm solves land in the low-millisecond
+// latencyBuckets are the upper bounds (seconds) of the latency
+// histograms; +Inf is implicit. Warm solves land in the low-millisecond
 // buckets, cold machine builds in the tens of milliseconds.
 var latencyBuckets = []float64{
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
+}
+
+// histogram is one latency histogram over latencyBuckets. Its owner
+// serializes access.
+type histogram struct {
+	counts []int64 // per bucket, the last one +Inf
+	sum    float64
+	count  int64
+}
+
+func newHistogram() histogram {
+	return histogram{counts: make([]int64, len(latencyBuckets)+1)}
+}
+
+func (h *histogram) observe(d time.Duration) {
+	s := d.Seconds()
+	h.counts[sort.SearchFloat64s(latencyBuckets, s)]++
+	h.sum += s
+	h.count++
+}
+
+// write renders h in Prometheus text exposition format.
+func (h *histogram) write(w io.Writer, name, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	cum := int64(0)
+	for i, ub := range latencyBuckets {
+		cum += h.counts[i]
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
+	}
+	cum += h.counts[len(latencyBuckets)]
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
 }
 
 // Metrics aggregates the service's observable behaviour. All methods are
@@ -24,9 +58,8 @@ type Metrics struct {
 
 	requests map[string]map[int]int64 // path -> status -> count
 
-	bucketCounts []int64
-	latSum       float64
-	latCount     int64
+	solveLat    histogram // /v1/solve request latency
+	allPairsLat histogram // /v1/allpairs whole-stream duration
 
 	solves   int64
 	panics   int64
@@ -37,8 +70,9 @@ type Metrics struct {
 // NewMetrics returns an empty aggregate.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:     make(map[string]map[int]int64),
-		bucketCounts: make([]int64, len(latencyBuckets)+1),
+		requests:    make(map[string]map[int]int64),
+		solveLat:    newHistogram(),
+		allPairsLat: newHistogram(),
 	}
 }
 
@@ -56,13 +90,17 @@ func (m *Metrics) RecordRequest(path string, status int) {
 
 // ObserveLatency adds one /v1/solve request duration to the histogram.
 func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := sort.SearchFloat64s(latencyBuckets, s)
-	m.bucketCounts[i]++
-	m.latSum += s
-	m.latCount++
+	m.solveLat.observe(d)
+}
+
+// ObserveAllPairs adds one /v1/allpairs stream duration, from request
+// start to the last row or error, to its own histogram.
+func (m *Metrics) ObserveAllPairs(d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.allPairsLat.observe(d)
 }
 
 // AddSolves charges completed destination solves and their machine cost
@@ -112,17 +150,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, pool PoolStats, queueDepth int, b
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP ppaserved_solve_latency_seconds /v1/solve request latency.\n")
-	fmt.Fprintf(w, "# TYPE ppaserved_solve_latency_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += m.bucketCounts[i]
-		fmt.Fprintf(w, "ppaserved_solve_latency_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-	}
-	cum += m.bucketCounts[len(latencyBuckets)]
-	fmt.Fprintf(w, "ppaserved_solve_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "ppaserved_solve_latency_seconds_sum %g\n", m.latSum)
-	fmt.Fprintf(w, "ppaserved_solve_latency_seconds_count %d\n", m.latCount)
+	m.solveLat.write(w, "ppaserved_solve_latency_seconds", "/v1/solve request latency.")
+	m.allPairsLat.write(w, "ppaserved_allpairs_stream_seconds", "/v1/allpairs whole-stream duration.")
 
 	fmt.Fprintf(w, "# HELP ppaserved_session_pool Session pool checkouts.\n")
 	fmt.Fprintf(w, "# TYPE ppaserved_session_pool_hits_total counter\n")

@@ -491,7 +491,7 @@ func (s *Server) handleAllPairs(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := s.allPairs(w, r)
 	s.metrics.RecordRequest("/v1/allpairs", code)
-	s.metrics.ObserveLatency(time.Since(start))
+	s.metrics.ObserveAllPairs(time.Since(start))
 }
 
 // allPairs admits the request, enqueues an exclusive streaming job, and
