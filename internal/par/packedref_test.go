@@ -20,7 +20,7 @@ import (
 type refCtx struct {
 	n    int
 	mask []bool
-	m    *ppa.Machine // mirror fabric: same side, faults; []bool entry points
+	m    *ppa.Machine // mirror fabric: same side, faults
 }
 
 func (r *refCtx) assignWords(dst, src []ppa.Word) {
@@ -249,21 +249,23 @@ func TestPackedParMatchesReferenceLanes(t *testing.T) {
 					d := ppa.Direction(rng.Intn(4))
 					got := a.Or(x.b, d, y.b)
 					refv := make([]bool, size)
-					ref.m.WiredOr(d, y.ref, x.ref, refv)
+					out := ppa.NewBitset(size)
+					ref.m.WiredOrBits(d, ppa.NewBitsetFromBools(y.ref), ppa.NewBitsetFromBools(x.ref), out)
+					out.ToBools(refv)
 					checkBool(t, *budget, got, refv)
 					replaceBool(k, got, refv)
 				case 9: // segmented word broadcast
 					d := ppa.Direction(rng.Intn(4))
 					got := a.Broadcast(u.v, d, x.b)
 					refv := make([]ppa.Word, size)
-					ref.m.Broadcast(d, x.ref, u.ref, refv)
+					ref.m.BroadcastBits(d, ppa.NewBitsetFromBools(x.ref), u.ref, refv)
 					checkVar(t, *budget, got, refv)
 					replaceVar(kv, got, refv)
 				case 10: // masked BroadcastInto
 					d := ppa.Direction(rng.Intn(4))
 					a.BroadcastInto(u.v, w.v, d, x.b)
 					tmp := append([]ppa.Word(nil), u.ref...)
-					ref.m.Broadcast(d, x.ref, w.ref, tmp)
+					ref.m.BroadcastBits(d, ppa.NewBitsetFromBools(x.ref), w.ref, tmp)
 					ref.assignWords(u.ref, tmp)
 					checkVar(t, *budget, u.v, u.ref)
 				case 11: // global-OR line

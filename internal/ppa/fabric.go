@@ -5,6 +5,12 @@ package ppa
 // broadcast buses, a wired-OR bus mode, nearest-neighbour shifts and a
 // global-OR line, all charged to a Metrics accumulator.
 //
+// Every bus transaction takes one switch configuration — the per-PE
+// Open/Short setting of the paper's Figure 1b — as a packed Bitset (64
+// lanes per machine word), the allocation-free representation the
+// programming layers keep all parallel logicals in. Word operands travel
+// as flat row-major []Word slices.
+//
 // Machine implements it directly; virt.Machine implements it by
 // simulating a large logical array on a smaller physical Machine
 // (block mapping), which is how the paper's one-element-per-PE assumption
@@ -17,22 +23,15 @@ type Fabric interface {
 	Bits() uint
 	// Inf is the MAXINT sentinel, 2^h - 1.
 	Inf() Word
-	// Broadcast performs one segmented-bus transaction (see
-	// Machine.Broadcast for the exact cut-ring semantics).
-	Broadcast(d Direction, open []bool, src, dst []Word)
-	// WiredOr performs one 1-bit wired-OR bus transaction.
-	WiredOr(d Direction, open, drive, dst []bool)
+	// BroadcastBits performs one segmented-bus transaction (see
+	// Machine.BroadcastBits for the exact cut-ring semantics).
+	BroadcastBits(d Direction, open *Bitset, src, dst []Word)
+	// WiredOrBits performs one 1-bit wired-OR bus transaction (see
+	// Machine.WiredOrBits for the cluster semantics).
+	WiredOrBits(d Direction, open, drive, dst *Bitset)
 	// Shift moves every word one PE in direction d with wrap-around.
 	Shift(d Direction, src, dst []Word)
-	// GlobalOr reports whether pred holds anywhere.
-	GlobalOr(pred []bool) bool
-	// BroadcastBits, WiredOrBits and GlobalOrBits are the same three
-	// transactions with the boolean lane sets packed 64-per-word (see
-	// Bitset) — the allocation-free representation the programming
-	// layers keep all parallel logicals in. Identical results and
-	// identical charges to their []bool counterparts.
-	BroadcastBits(d Direction, open *Bitset, src, dst []Word)
-	WiredOrBits(d Direction, open, drive, dst *Bitset)
+	// GlobalOrBits reports whether pred holds anywhere.
 	GlobalOrBits(pred *Bitset) bool
 	// CountPE charges local ALU operations; CountInstr one SIMD
 	// instruction.

@@ -39,7 +39,7 @@ func TestStuckOpenFragmentsBus(t *testing.T) {
 	open[0] = true
 	src[0] = 9
 	src[m.Index(0, 2)] = 5
-	m.Broadcast(East, open, src, dst)
+	broadcastBools(m, East, open, src, dst)
 	for c := 0; c < n; c++ {
 		if dst[m.Index(0, c)] != 9 {
 			t.Fatalf("healthy broadcast wrong at col %d", c)
@@ -47,7 +47,7 @@ func TestStuckOpenFragmentsBus(t *testing.T) {
 	}
 	// Stuck-open at (0,2): it now injects its own value 5 into cols 3..0.
 	m.InjectFault(m.Index(0, 2), StuckOpen)
-	m.Broadcast(East, open, src, dst)
+	broadcastBools(m, East, open, src, dst)
 	want := []Word{5, 9, 9, 5}
 	for c := 0; c < n; c++ {
 		if dst[m.Index(0, c)] != want[c] {
@@ -65,7 +65,7 @@ func TestStuckShortSilencesHead(t *testing.T) {
 	open[0] = true
 	src[0] = 9
 	m.InjectFault(0, StuckShort)
-	m.Broadcast(East, open, src, dst)
+	broadcastBools(m, East, open, src, dst)
 	// The only head is stuck short: row 0 floats and dst stays 7.
 	for c := 0; c < n; c++ {
 		if dst[m.Index(0, c)] != 7 {
@@ -83,7 +83,7 @@ func TestFaultsAffectWiredOrSegmentation(t *testing.T) {
 	open[0] = true  // row 0 whole-ring cluster headed at col 0
 	drive[3] = true // driver at col 3
 	m.InjectFault(2, StuckOpen)
-	m.WiredOr(East, open, drive, dst)
+	wiredOrBools(m, East, open, drive, dst)
 	// The stuck-open at col 2 splits the ring: cluster {0,1} has no driver,
 	// cluster {2,3} has one.
 	want := []bool{false, false, true, true}
@@ -98,7 +98,7 @@ func TestFaultsDoNotMutateCallerConfig(t *testing.T) {
 	m := New(2, 8)
 	open := []bool{false, false, false, false}
 	m.InjectFault(1, StuckOpen)
-	m.Broadcast(East, open, make([]Word, 4), make([]Word, 4))
+	broadcastBools(m, East, open, make([]Word, 4), make([]Word, 4))
 	if open[1] {
 		t.Error("caller's open slice was mutated by fault application")
 	}
@@ -112,10 +112,10 @@ func TestObserverSeesTransactions(t *testing.T) {
 	open[4] = true
 	src := make([]Word, 9)
 	b := make([]bool, 9)
-	m.Broadcast(South, open, src, src)
-	m.WiredOr(East, open, b, b)
+	broadcastBools(m, South, open, src, src)
+	wiredOrBools(m, East, open, b, b)
 	m.Shift(West, src, src)
-	m.GlobalOr(b)
+	globalOrBools(m, b)
 	if len(events) != 4 {
 		t.Fatalf("observed %d events, want 4", len(events))
 	}
@@ -138,7 +138,7 @@ func TestObserverSeesPostFaultOpens(t *testing.T) {
 	m.SetObserver(func(e Event) { opens = e.Opens })
 	m.InjectFault(0, StuckOpen)
 	m.InjectFault(1, StuckOpen)
-	m.Broadcast(East, make([]bool, 4), make([]Word, 4), make([]Word, 4))
+	broadcastBools(m, East, make([]bool, 4), make([]Word, 4), make([]Word, 4))
 	if opens != 2 {
 		t.Errorf("observer saw %d opens, want the 2 stuck-open faults", opens)
 	}
@@ -167,14 +167,14 @@ func TestObserverEventCountsMatchMetrics(t *testing.T) {
 	src := make([]Word, 16)
 	b := make([]bool, 16)
 	for i := 0; i < 3; i++ {
-		m.Broadcast(East, open, src, src)
+		broadcastBools(m, East, open, src, src)
 	}
 	for i := 0; i < 5; i++ {
-		m.WiredOr(South, open, b, b)
+		wiredOrBools(m, South, open, b, b)
 	}
 	m.Shift(West, src, src)
-	m.GlobalOr(b)
-	m.GlobalOr(b)
+	globalOrBools(m, b)
+	globalOrBools(m, b)
 	got := m.Metrics()
 	if counts[OpBroadcast] != got.BusCycles ||
 		counts[OpWiredOr] != got.WiredOrCycles ||

@@ -15,6 +15,23 @@ func words(vs ...int64) []Word {
 	return ws
 }
 
+// broadcastBools, wiredOrBools and globalOrBools run one transaction on
+// lane sets written as []bool, packing them for the Bitset entry points,
+// so tests can spell configurations out lane by lane.
+func broadcastBools(m *Machine, d Direction, open []bool, src, dst []Word) {
+	m.BroadcastBits(d, NewBitsetFromBools(open), src, dst)
+}
+
+func wiredOrBools(m *Machine, d Direction, open, drive, dst []bool) {
+	out := NewBitset(len(dst))
+	m.WiredOrBits(d, NewBitsetFromBools(open), NewBitsetFromBools(drive), out)
+	out.ToBools(dst)
+}
+
+func globalOrBools(m *Machine, pred []bool) bool {
+	return m.GlobalOrBits(NewBitsetFromBools(pred))
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, c := range []struct {
 		n int
@@ -62,7 +79,7 @@ func TestBroadcastSingleOpenReachesAll(t *testing.T) {
 		open[m.Index(1, c)] = true
 		src[m.Index(1, c)] = Word(10 + c)
 	}
-	m.Broadcast(South, open, src, dst)
+	broadcastBools(m, South, open, src, dst)
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			if got, want := dst[m.Index(r, c)], Word(10+c); got != want {
@@ -88,7 +105,7 @@ func TestBroadcastSegmentation(t *testing.T) {
 	src[m.Index(0, 1)] = 11
 	open[m.Index(0, 4)] = true
 	src[m.Index(0, 4)] = 44
-	m.Broadcast(East, open, src, dst)
+	broadcastBools(m, East, open, src, dst)
 	// Cols 2,3,4 read 11 (col 4 is Open: its read port hangs on the
 	// upstream cluster's wire). Cols 5,0,1 read 44 (wrap).
 	want := map[int]Word{2: 11, 3: 11, 4: 11, 5: 44, 0: 44, 1: 44}
@@ -108,7 +125,7 @@ func TestBroadcastFloatingRingLeavesDstUnchanged(t *testing.T) {
 	// Only row 0 has an open switch; rows 1 and 2 float on East broadcast.
 	open[m.Index(0, 0)] = true
 	src[m.Index(0, 0)] = 99
-	m.Broadcast(East, open, src, dst)
+	broadcastBools(m, East, open, src, dst)
 	for c := 0; c < n; c++ {
 		if dst[m.Index(0, c)] != 99 {
 			t.Errorf("row 0 col %d = %d, want 99", c, dst[m.Index(0, c)])
@@ -135,7 +152,7 @@ func TestBroadcastAllDirections(t *testing.T) {
 			open[m.Index(i, i)] = true
 			src[m.Index(i, i)] = Word(100 + i)
 		}
-		m.Broadcast(d, open, src, dst)
+		broadcastBools(m, d, open, src, dst)
 		for r := 0; r < n; r++ {
 			for c := 0; c < n; c++ {
 				want := Word(100 + r) // rows: head at (r,r)
@@ -159,7 +176,7 @@ func TestBroadcastInPlaceAliasing(t *testing.T) {
 		open[m.Index(2, c)] = true
 		v[m.Index(2, c)] = Word(20 + c)
 	}
-	m.Broadcast(South, open, v, v) // dst aliases src
+	broadcastBools(m, South, open, v, v) // dst aliases src
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			if got, want := v[m.Index(r, c)], Word(20+c); got != want {
@@ -205,7 +222,7 @@ func TestBroadcastAgainstReference(t *testing.T) {
 			want[i] = got[i]
 		}
 		d := Direction(rng.Intn(4))
-		m.Broadcast(d, open, src, got)
+		broadcastBools(m, d, open, src, got)
 		broadcastRef(m, d, open, src, want)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d n=%d d=%v:\nopen=%v\nsrc=%v\ngot=%v\nwant=%v", trial, n, d, open, src, got, want)
@@ -265,7 +282,7 @@ func TestWiredOrAgainstReference(t *testing.T) {
 			drive[i] = rng.Intn(3) == 0
 		}
 		d := Direction(rng.Intn(4))
-		m.WiredOr(d, open, drive, got)
+		wiredOrBools(m, d, open, drive, got)
 		wiredOrRef(m, d, open, drive, want)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d n=%d d=%v:\nopen=%v\ndrive=%v\ngot=%v\nwant=%v", trial, n, d, open, drive, got, want)
@@ -284,7 +301,7 @@ func TestWiredOrSingleCluster(t *testing.T) {
 		open[m.Index(r, n-1)] = true
 	}
 	drive[m.Index(2, 0)] = true // one driver in row 2
-	m.WiredOr(West, open, drive, dst)
+	wiredOrBools(m, West, open, drive, dst)
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			want := r == 2
@@ -357,11 +374,11 @@ func TestGlobalOr(t *testing.T) {
 	const n = 4
 	m := New(n, 8)
 	pred := make([]bool, n*n)
-	if m.GlobalOr(pred) {
+	if globalOrBools(m, pred) {
 		t.Error("GlobalOr of all-false = true")
 	}
 	pred[7] = true
-	if !m.GlobalOr(pred) {
+	if !globalOrBools(m, pred) {
 		t.Error("GlobalOr with one true = false")
 	}
 	if m.Metrics().GlobalOrOps != 2 {
@@ -389,8 +406,8 @@ func TestWorkersDeterminism(t *testing.T) {
 			m := New(n, 8, WithWorkers(workers))
 			w := make([]Word, n*n)
 			b := make([]bool, n*n)
-			m.Broadcast(d, open, src, w)
-			m.WiredOr(d, open, drive, b)
+			broadcastBools(m, d, open, src, w)
+			wiredOrBools(m, d, open, drive, b)
 			m.Shift(d, w, w)
 			return w, b, m.Metrics()
 		}
@@ -412,7 +429,7 @@ func TestLengthValidationPanics(t *testing.T) {
 			t.Fatal("Broadcast with short slice did not panic")
 		}
 	}()
-	m.Broadcast(East, make([]bool, 16), short, make([]Word, 16))
+	broadcastBools(m, East, make([]bool, 16), short, make([]Word, 16))
 }
 
 func TestMetricsAccounting(t *testing.T) {
@@ -421,10 +438,10 @@ func TestMetricsAccounting(t *testing.T) {
 	open := make([]bool, 16)
 	open[0] = true
 	b := make([]bool, 16)
-	m.Broadcast(East, open, src, src)
-	m.WiredOr(East, open, b, b)
+	broadcastBools(m, East, open, src, src)
+	wiredOrBools(m, East, open, b, b)
 	m.Shift(North, src, src)
-	m.GlobalOr(b)
+	globalOrBools(m, b)
 	m.CountPE(16)
 	m.CountInstr()
 	got := m.Metrics()

@@ -139,7 +139,7 @@ func TestPackedBusMatchesReferenceLanes(t *testing.T) {
 			src[i] = Word(rng.Int63n(int64(Infinity(h)) + 1))
 		}
 		gotW := append([]Word(nil), src...) // floating lanes keep src
-		m.Broadcast(d, open, src, gotW)
+		broadcastBools(m, d, open, src, gotW)
 		wantW := append([]Word(nil), src...)
 		refBroadcast(n, d, applyFaults(open, faults), src, wantW)
 		for i := range wantW {
@@ -151,7 +151,7 @@ func TestPackedBusMatchesReferenceLanes(t *testing.T) {
 
 		drive := randBools(rng, size, 0.3)
 		gotB := make([]bool, size)
-		m.WiredOr(d, open, drive, gotB)
+		wiredOrBools(m, d, open, drive, gotB)
 		wantB := make([]bool, size)
 		refWiredOr(n, d, applyFaults(open, faults), drive, wantB)
 		for i := range wantB {
@@ -172,49 +172,6 @@ func TestPackedBusMatchesReferenceLanes(t *testing.T) {
 	}
 }
 
-// TestPackedBitsEntryPointsMatchBoolAPI checks that the packed entry
-// points and their []bool shims see the same transaction (same results,
-// same charges).
-func TestPackedBitsEntryPointsMatchBoolAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(12)
-		size := n * n
-		open := randBools(rng, size, 0.25)
-		drive := randBools(rng, size, 0.3)
-		d := Direction(rng.Intn(4))
-
-		m1 := New(n, 8)
-		m2 := New(n, 8)
-		dst1 := make([]bool, size)
-		m1.WiredOr(d, open, drive, dst1)
-		dst2 := NewBitset(size)
-		m2.WiredOrBits(d, NewBitsetFromBools(open), NewBitsetFromBools(drive), dst2)
-		for i := 0; i < size; i++ {
-			if dst1[i] != dst2.Get(i) {
-				t.Fatalf("trial %d: WiredOr/WiredOrBits diverge at lane %d", trial, i)
-			}
-		}
-		if m1.Metrics() != m2.Metrics() {
-			t.Fatalf("trial %d: metrics diverge: %+v vs %+v", trial, m1.Metrics(), m2.Metrics())
-		}
-
-		src := make([]Word, size)
-		for i := range src {
-			src[i] = Word(rng.Int63n(256))
-		}
-		w1 := append([]Word(nil), src...)
-		m1.Broadcast(d, open, src, w1)
-		w2 := append([]Word(nil), src...)
-		m2.BroadcastBits(d, NewBitsetFromBools(open), src, w2)
-		for i := 0; i < size; i++ {
-			if w1[i] != w2[i] {
-				t.Fatalf("trial %d: Broadcast/BroadcastBits diverge at lane %d", trial, i)
-			}
-		}
-	}
-}
-
 // TestObserverSkippedWhenAbsent pins the observer tax fix: with no
 // observer attached, transactions must not scan the configuration; with
 // one attached, Opens must be the post-fault Open count.
@@ -225,7 +182,7 @@ func TestObserverOpensCount(t *testing.T) {
 	var events []Event
 	m.SetObserver(func(e Event) { events = append(events, e) })
 	m.InjectFault(5, StuckOpen)
-	m.WiredOr(East, open, make([]bool, 16), make([]bool, 16))
+	wiredOrBools(m, East, open, make([]bool, 16), make([]bool, 16))
 	if len(events) != 1 || events[0].Opens != 3 {
 		t.Fatalf("observer saw %+v, want one event with Opens=3 (2 requested + 1 stuck-open)", events)
 	}

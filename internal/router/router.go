@@ -213,6 +213,9 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/v1/solve", rt.handleSolve)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+	for _, p := range []string{"/v1/allpairs", "/v1/session", "/v1/session/"} {
+		rt.mux.HandleFunc(p, rt.notProxied(p))
+	}
 
 	rt.monitor.Add(1)
 	go rt.monitorLoop()
@@ -617,6 +620,17 @@ func writeBody(w http.ResponseWriter, status int, body []byte, cacheSrc, backend
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 	return status
+}
+
+// notProxied answers a documented ppaserved route that the router does
+// not forward with 501 and a JSON error, instead of a bare 404, counted
+// under the route pattern.
+func (rt *Router) notProxied(pattern string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		code := rt.writeError(w, http.StatusNotImplemented,
+			"%s is not proxied by the router; send it to a ppaserved backend directly", r.URL.Path)
+		rt.metrics.RecordRequest(pattern, code)
+	}
 }
 
 func (rt *Router) writeError(w http.ResponseWriter, status int, format string, args ...any) int {

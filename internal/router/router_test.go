@@ -359,6 +359,65 @@ func TestRouterValidation(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsUnproxiedRoutes: the allpairs and session routes of
+// ppaserved answer 501 with a JSON error at the router, never reach a
+// backend, and are counted under their route pattern.
+func TestRouterRejectsUnproxiedRoutes(t *testing.T) {
+	b := newStubBackend(t, false)
+	rt := newTestRouter(t, Config{}, b.ts.URL)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	cases := []struct {
+		method, path, body, pattern string
+	}{
+		{http.MethodPost, "/v1/allpairs", `{"graph":{"n":2,"edges":[[0,1,3]]}}`, "/v1/allpairs"},
+		{http.MethodPost, "/v1/session", `{"graph":{"n":2,"edges":[[0,1,3]]},"dests":"all"}`, "/v1/session"},
+		{http.MethodPost, "/v1/session/s1/update", `{"updates":[{"u":0,"v":1,"w":2}]}`, "/v1/session/"},
+		{http.MethodGet, "/v1/session/s1/stream", "", "/v1/session/"},
+		{http.MethodDelete, "/v1/session/s1", "", "/v1/session/"},
+	}
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, front.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := front.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er serve.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Errorf("%s %s: status = %d, want 501", c.method, c.path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type = %q, want application/json", c.method, c.path, ct)
+		}
+		if err != nil || !strings.Contains(er.Error, c.path) || !strings.Contains(er.Error, "not proxied") {
+			t.Errorf("%s %s: error body = %+v (decode err %v), want a not-proxied message naming the path",
+				c.method, c.path, er, err)
+		}
+	}
+	if got := b.solves.Load(); got != 0 {
+		t.Errorf("unproxied routes reached the backend %d times", got)
+	}
+
+	var prom strings.Builder
+	cs, collapsed := rt.CacheStats()
+	rt.Metrics().WritePrometheus(&prom, rt.Fleet(), cs, collapsed)
+	for _, want := range []string{
+		`pparouter_requests_total{path="/v1/allpairs",code="501"} 1`,
+		`pparouter_requests_total{path="/v1/session",code="501"} 1`,
+		`pparouter_requests_total{path="/v1/session/",code="501"} 3`,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("metrics missing %q:\n%s", want, prom.String())
+		}
+	}
+}
+
 // startServeBackend boots a real in-process ppaserved over httptest.
 func startServeBackend(t *testing.T, cfg serve.Config) (*httptest.Server, *serve.Server) {
 	t.Helper()

@@ -17,10 +17,16 @@ package virt
 //
 // Cost shadowing. Each plane pass issues exactly the physical
 // transactions and chargeLocal calls of the lane-at-a-time reference path
-// in virt.go, in the same order, so ppa.Metrics and physical observer
-// event streams are byte-identical between the two (property-tested in
-// packedparity_test.go) and the EXPERIMENTS.md virtualization ablation is
-// unchanged by this engine.
+// (lanes_test.go), in the same order, so ppa.Metrics and physical
+// observer event streams are byte-identical between the two
+// (property-tested in packedparity_test.go) and the EXPERIMENTS.md
+// virtualization ablation is unchanged by this engine.
+//
+// Stitching. The physical machine is driven only through its packed
+// transactions. The serial stitch phase between the ring kernels packs
+// the per-PE Open flags into an m*m-bit switch plane once per plane pass,
+// builds the physical wired-OR drive straight into a Bitset, and the fill
+// kernels read the physical wired-OR result's bits in place.
 //
 // Parallelism. The per-ring scan/fill kernels are fanned over the
 // physical machine's persistent ring worker pool (ppa.Machine.RunRings)
@@ -97,8 +103,9 @@ func (v *Machine) dataIdx(i, p int) int {
 // within-block plane: a head scan per block finds the flow-last Open lane
 // and its operand, one physical bus cycle moves those injections between
 // blocks, and segment fills distribute each head's operand downstream.
-// Results and charges are identical to Broadcast. dst may alias src; it
-// must not alias the packed configuration's storage.
+// Results are those of a direct n x n machine's BroadcastBits; each
+// logical bus cycle costs k physical ones. dst may alias src; it must not
+// alias the packed configuration's storage.
 func (v *Machine) BroadcastBits(d ppa.Direction, open *ppa.Bitset, src, dst []ppa.Word) {
 	v.checkBits("open", open)
 	v.checkLen("src", len(src))
@@ -114,7 +121,8 @@ func (v *Machine) BroadcastBits(d ppa.Direction, open *ppa.Bitset, src, dst []pp
 		v.jt = t
 		v.phys.RunRings(ww, v.fnBcastScan)
 		v.chargeLocal(v.k)
-		v.phys.Broadcast(d, v.pOpenB, v.pInject, v.pRecv)
+		v.pOpen.FromBools(v.pOpenB)
+		v.phys.BroadcastBits(d, v.pOpen, v.pInject, v.pRecv)
 		v.phys.RunRings(ww, v.fnBcastFill)
 		v.chargeLocal(v.k)
 	}
@@ -244,8 +252,10 @@ func (v *Machine) bcastFillRing(i int) {
 // contributions, a one-bit physical shift hands head contributions
 // upstream, one physical wired-OR resolves the block-spanning clusters, a
 // second shift hands results downstream, and masked range fills
-// distribute — word-parallel throughout. Results and charges are
-// identical to WiredOr. dst may alias drive or open.
+// distribute — word-parallel throughout. Results are those of a direct
+// n x n machine's WiredOrBits; each logical wired-OR cycle costs k
+// physical wired-OR cycles and 2k one-bit physical shifts. dst may alias
+// drive or open.
 func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 	v.checkBits("open", open)
 	v.checkBits("drive", drive)
@@ -262,7 +272,6 @@ func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 	}
 	v.jRev, v.jVert = rev(d), vert
 	v.jScan, v.jDrive, v.jWDst = sOpen, sDrive, wDst
-	mm := v.m * v.m
 	ww := 3 * (v.m * v.n / 64) // three packed rows per ring per plane
 	for t := 0; t < v.k; t++ {
 		v.jt = t
@@ -271,17 +280,18 @@ func (v *Machine) WiredOrBits(d ppa.Direction, open, drive, dst *ppa.Bitset) {
 		// Hand each block's head contribution to its upstream neighbour
 		// (the spanning cluster it belongs to ends there).
 		v.phys.Shift(d.Opposite(), v.headW, v.shiftHead)
-		for P := 0; P < mm; P++ {
+		for P, headed := range v.pOpenB {
 			own := v.fullB[P]
-			if v.pOpenB[P] {
+			if headed {
 				own = v.tailB[P]
 			}
-			v.pDriveB[P] = own || v.shiftHead[P] != 0
+			v.pDrive.SetTo(P, own || v.shiftHead[P] != 0)
 		}
+		v.pOpen.FromBools(v.pOpenB)
 		v.chargeLocal(1)
-		v.phys.WiredOr(d, v.pOpenB, v.pDriveB, v.pOrB)
-		for P := 0; P < mm; P++ {
-			v.orW[P] = b2w(v.pOrB[P])
+		v.phys.WiredOrBits(d, v.pOpen, v.pDrive, v.pOr)
+		for P := range v.orW {
+			v.orW[P] = b2w(v.pOr.Get(P))
 		}
 		v.chargeLocal(1)
 		// Hand each physical cluster's OR downstream by one block, so a
@@ -361,7 +371,7 @@ func (v *Machine) worFillRing(i int) {
 		P := v.blockP(i, q)
 		lo, hi := sb+q*k, sb+(q+1)*k
 		if !v.pOpenB[P] {
-			v.jWDst.FillRange(lo, hi, v.pOrB[P])
+			v.jWDst.FillRange(lo, hi, v.pOr.Get(P))
 			continue
 		}
 		if !v.jRev {
@@ -371,7 +381,7 @@ func (v *Machine) worFillRing(i int) {
 			for {
 				next := v.jScan.NextSet(start+1, hi)
 				if next < 0 {
-					v.jWDst.FillRange(start, hi, v.pOrB[P])
+					v.jWDst.FillRange(start, hi, v.pOr.Get(P))
 					break
 				}
 				v.jWDst.FillRange(start, next, v.jDrive.AnyRange(start, next))
@@ -385,7 +395,7 @@ func (v *Machine) worFillRing(i int) {
 		for {
 			next := v.jScan.PrevSet(lo, start)
 			if next < 0 {
-				v.jWDst.FillRange(lo, start+1, v.pOrB[P])
+				v.jWDst.FillRange(lo, start+1, v.pOr.Get(P))
 				break
 			}
 			v.jWDst.FillRange(next+1, start+1, v.jDrive.AnyRange(next+1, start+1))
@@ -451,9 +461,8 @@ func (v *Machine) shiftMoveRing(i int) {
 	}
 }
 
-// GlobalOrBits reduces each block with word-range scans, then uses the
-// physical global-OR line once. Results and charges are identical to
-// GlobalOr.
+// GlobalOrBits reduces each block with word-range scans into the packed
+// physical predicate, then uses the physical global-OR line once.
 func (v *Machine) GlobalOrBits(pred *ppa.Bitset) bool {
 	v.checkBits("pred", pred)
 	if v.wordBlocks {
@@ -467,9 +476,9 @@ func (v *Machine) GlobalOrBits(pred *ppa.Bitset) bool {
 				lo := (R*k+a)*n + C*k
 				or = pred.AnyRange(lo, lo+k)
 			}
-			v.pOpenB[P] = or
+			v.pOpen.SetTo(P, or)
 		}
 	}
 	v.chargeLocal(v.k * v.k)
-	return v.phys.GlobalOr(v.pOpenB)
+	return v.phys.GlobalOrBits(v.pOpen)
 }

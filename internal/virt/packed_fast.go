@@ -190,7 +190,7 @@ func (v *Machine) worFillRingFast(i int) {
 			ob := (ow >> uint(s)) & bm
 			db := (drv >> uint(s)) & bm
 			if ob == 0 {
-				if v.pOrB[P] {
+				if v.pOr.Get(P) {
 					out |= bm << uint(s)
 				}
 				continue
@@ -204,7 +204,7 @@ func (v *Machine) worFillRingFast(i int) {
 				for {
 					nb := ob >> uint(start) >> 1
 					if nb == 0 {
-						if v.pOrB[P] {
+						if v.pOr.Get(P) {
 							out |= (bm &^ (uint64(1)<<uint(start) - 1)) << uint(s)
 						}
 						break
@@ -226,7 +226,7 @@ func (v *Machine) worFillRingFast(i int) {
 			for {
 				nb := ob & (uint64(1)<<uint(start) - 1)
 				if nb == 0 {
-					if v.pOrB[P] {
+					if v.pOr.Get(P) {
 						out |= (uint64(1)<<uint(start+1) - 1) << uint(s)
 					}
 					break
@@ -243,14 +243,13 @@ func (v *Machine) worFillRingFast(i int) {
 	}
 }
 
-// globalOrFast reduces the packed predicate to the per-physical-PE
-// staging with one pass over the plane's words, skipping zero words.
+// globalOrFast reduces the packed predicate to the packed physical
+// predicate pOpen with one pass over the plane's words, skipping zero
+// words.
 func (v *Machine) globalOrFast(pred []uint64) {
 	n, m, k, bm := v.n, v.m, v.k, v.blockMask()
 	nw := n / 64
-	for P := range v.pOpenB {
-		v.pOpenB[P] = false
-	}
+	v.pOpen.Fill(false)
 	for r := 0; r < n; r++ {
 		R := r / k
 		for wi := 0; wi < nw; wi++ {
@@ -260,7 +259,7 @@ func (v *Machine) globalOrFast(pred []uint64) {
 			}
 			for s := 0; s < 64; s += k {
 				if w>>uint(s)&bm != 0 {
-					v.pOpenB[R*m+(wi*64+s)/k] = true
+					v.pOpen.Set(R*m + (wi*64+s)/k)
 				}
 			}
 		}

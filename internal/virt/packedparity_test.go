@@ -16,12 +16,25 @@ type packedParityCase struct {
 	workers int
 }
 
+// packedParityGrid covers every kernel gate of the packed engine:
+// unaligned rows with serial fills ({4,2}, {8,2}, {12,3}), register-mask
+// kernels ({64,8}: k=8; {64,32}: k=2; {128,2}: k=64, where blockMask
+// wraps to ^0), and aligned rows without word-nested blocks ({128,1}:
+// k=128), the one shape where the generic fills run on pooled workers.
+// The three large shapes run at h=16 only, which keeps the race-detector
+// run of the grid short; the word width does not select a kernel.
 func packedParityGrid() []packedParityCase {
 	var grid []packedParityCase
-	for _, nm := range []struct{ n, m int }{{4, 2}, {8, 2}, {12, 3}, {64, 8}} {
-		for _, h := range []uint{4, 8, 16} {
+	for _, c := range []struct {
+		n, m int
+		hs   []uint
+	}{
+		{4, 2, []uint{4, 8, 16}}, {8, 2, []uint{4, 8, 16}}, {12, 3, []uint{4, 8, 16}},
+		{64, 8, []uint{4, 8, 16}}, {64, 32, []uint{16}}, {128, 2, []uint{16}}, {128, 1, []uint{16}},
+	} {
+		for _, h := range c.hs {
 			for _, w := range []int{1, 2, 7} {
-				grid = append(grid, packedParityCase{nm.n, nm.m, h, w})
+				grid = append(grid, packedParityCase{c.n, c.m, h, w})
 			}
 		}
 	}
@@ -43,13 +56,14 @@ func newParityMachine(t *testing.T, c packedParityCase) *Machine {
 	return vm
 }
 
-// TestPackedLaneParity is the tentpole's central property: the packed
-// engine (BroadcastBits/WiredOrBits/GlobalOrBits) and the lane-at-a-time
-// reference path (Broadcast/WiredOr/GlobalOr) produce equal outputs AND
-// byte-identical ppa.Metrics on two identically-driven machines — across
-// block geometries (covering both the word-mask fast kernels and the
-// generic ones), word widths, worker counts, all four directions, and
-// injected physical switch faults.
+// TestPackedLaneParity is the packed engine's central property: the
+// packed engine (BroadcastBits/WiredOrBits/GlobalOrBits) and the
+// lane-at-a-time reference path (laneBroadcast/laneWiredOr/laneGlobalOr)
+// produce equal outputs, byte-identical ppa.Metrics AND identical
+// physical observer event streams on two identically-driven machines —
+// across block geometries (covering both the word-mask fast kernels and
+// the generic ones), word widths, worker counts, all four directions,
+// and injected physical switch faults.
 func TestPackedLaneParity(t *testing.T) {
 	for _, c := range packedParityGrid() {
 		c := c
@@ -59,6 +73,9 @@ func TestPackedLaneParity(t *testing.T) {
 			packed := newParityMachine(t, c)
 			defer lane.Close()
 			defer packed.Close()
+			var laneEvs, packedEvs []ppa.Event
+			lane.Physical().SetObserver(func(e ppa.Event) { laneEvs = append(laneEvs, e) })
+			packed.Physical().SetObserver(func(e ppa.Event) { packedEvs = append(packedEvs, e) })
 			size := c.n * c.n
 			openBits := ppa.NewBitset(size)
 			driveBits := ppa.NewBitset(size)
@@ -91,13 +108,13 @@ func TestPackedLaneParity(t *testing.T) {
 						dstL[i] = ppa.Word(i % 5)
 						dstP[i] = ppa.Word(i % 5)
 					}
-					lane.Broadcast(d, open, src, dstL)
+					lane.laneBroadcast(d, open, src, dstL)
 					packed.BroadcastBits(d, openBits, src, dstP)
 					if !reflect.DeepEqual(dstL, dstP) {
 						t.Fatalf("trial %d d=%v: Broadcast outputs diverged", trial, d)
 					}
 
-					lane.WiredOr(d, open, drive, dstBools)
+					lane.laneWiredOr(d, open, drive, dstBools)
 					packed.WiredOrBits(d, openBits, driveBits, dstBits)
 					for i := 0; i < size; i++ {
 						if dstBools[i] != dstBits.Get(i) {
@@ -110,20 +127,25 @@ func TestPackedLaneParity(t *testing.T) {
 					pred[i] = rng.Intn(20) == 0
 				}
 				predBits.FromBools(pred)
-				if lane.GlobalOr(pred) != packed.GlobalOrBits(predBits) {
+				if lane.laneGlobalOr(pred) != packed.GlobalOrBits(predBits) {
 					t.Fatalf("trial %d: GlobalOr diverged", trial)
 				}
 				if lm, pm := lane.Metrics(), packed.Metrics(); lm != pm {
 					t.Fatalf("trial %d: metrics diverged\nlane:   %+v\npacked: %+v", trial, lm, pm)
 				}
+				if !reflect.DeepEqual(laneEvs, packedEvs) {
+					t.Fatalf("trial %d: physical observer events diverged (%d lane, %d packed)",
+						trial, len(laneEvs), len(packedEvs))
+				}
+				laneEvs, packedEvs = laneEvs[:0], packedEvs[:0]
 			}
 		})
 	}
 }
 
 // TestPackedShiftMatchesDirect covers the packed Shift against a direct
-// n x n machine over the sweep geometries (Shift has no []bool twin; the
-// direct machine is its oracle) and pins its cost law.
+// n x n machine over the sweep geometries (Shift has no lane-at-a-time
+// twin; the direct machine is its oracle) and pins its cost law.
 func TestPackedShiftMatchesDirect(t *testing.T) {
 	for _, c := range packedParityGrid() {
 		c := c
@@ -180,7 +202,7 @@ func TestPackedAliasing(t *testing.T) {
 			inPlace := append([]ppa.Word(nil), src...)
 			vm.BroadcastBits(d, openBits, inPlace, inPlace)
 			ref := append([]ppa.Word(nil), src...)
-			lane.Broadcast(d, open, src, ref)
+			lane.laneBroadcast(d, open, src, ref)
 			if !reflect.DeepEqual(inPlace, ref) {
 				t.Fatalf("trial %d d=%v: aliased BroadcastBits diverged", trial, d)
 			}
@@ -188,7 +210,7 @@ func TestPackedAliasing(t *testing.T) {
 			// dst aliases drive.
 			driveBits.FromBools(drive)
 			vm.WiredOrBits(d, openBits, driveBits, driveBits)
-			lane.WiredOr(d, open, drive, want)
+			lane.laneWiredOr(d, open, drive, want)
 			for i := 0; i < size; i++ {
 				if want[i] != driveBits.Get(i) {
 					t.Fatalf("trial %d d=%v: drive-aliased WiredOrBits diverged at %d", trial, d, i)
@@ -200,7 +222,7 @@ func TestPackedAliasing(t *testing.T) {
 			openBits.FromBools(open)
 			driveBits.FromBools(drive)
 			vm.WiredOrBits(d, openBits, driveBits, openBits)
-			lane.WiredOr(d, open, drive, want)
+			lane.laneWiredOr(d, open, drive, want)
 			for i := 0; i < size; i++ {
 				if want[i] != openBits.Get(i) {
 					t.Fatalf("trial %d d=%v: open-aliased WiredOrBits diverged at %d", trial, d, i)
