@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCompile -fuzztime=30s ./internal/ppclang/
 	$(GO) test -fuzz=FuzzDiffExec -fuzztime=30s ./internal/ppclang/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/graph/
+	$(GO) test -fuzz=FuzzGraphJSON -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzUpdateResolve -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResolveSweep -fuzztime=30s ./internal/core/
 

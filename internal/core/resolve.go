@@ -30,13 +30,13 @@ import (
 // with a tight edge (w_ij + dist_j = dist_i) whose own minimal optimal
 // path uses one edge less (PTN is written only on the round where SOW
 // last strictly improves, and the attaining set at that round is exactly
-// those j). A warm trajectory takes different rounds, and the fused lane
-// carries no PTN at all, so after convergence solveSeeded reconstructs
-// that canonical choice on the host (canonicalNext) for every warm row
-// and every fused row — a BFS from the destination over reversed tight
-// edges assigns the edge-count levels, then each vertex picks its
-// smallest tight successor one level down — making those results
-// bit-identical to the oracle's cold ones, not just cost-equal.
+// those j). Both lanes carry PTN through the DP, which is that choice on
+// a cold seed. A warm trajectory takes different rounds, so after
+// convergence solveSeeded reconstructs the canonical choice on the host
+// (canonicalNext) for every warm row — a BFS from the destination over
+// reversed tight edges assigns the edge-count levels, then each vertex
+// picks its smallest tight successor one level down — making those
+// results bit-identical to the oracle's cold ones, not just cost-equal.
 //
 // The warm seed runs on the same two lanes as the cold one (solveSeeded):
 // the fused lane (fusedDP, sweep.go) wherever sweepMachine allows it, and
@@ -119,10 +119,11 @@ func (s *Session) resolveOne(ctx context.Context, dest int, allowSkip bool) (*Re
 // Result. The seed is cold (w == nil: the 1-edge costs of statements
 // 4-7) or warm (w's retained row with applyIncreases' invalidations).
 // A non-nil pm selects the fused lane (fusedDP), nil the machine-program
-// oracle (programDP). Next is canonicalNext's reconstruction except on
-// a cold oracle run, which reports the machine's own PTN row — the
-// reference the reconstruction is pinned to, and the only correct
-// answer on faulty and PaperInit fabrics.
+// oracle (programDP). A cold row reports the DP's own PTN (the machine's
+// PTN row, or the fused lane's in-scan copy of it) — the reference the
+// warm reconstruction is pinned to, and the only correct answer on
+// faulty and PaperInit fabrics. A warm row's Next is canonicalNext's
+// reconstruction.
 func (s *Session) solveSeeded(ctx context.Context, dest int, w *warmDest, pm *ppa.Machine) (*Result, error) {
 	n := s.m.N()
 	h := s.m.Bits()
@@ -148,7 +149,7 @@ func (s *Session) solveSeeded(ctx context.Context, dest int, w *warmDest, pm *pp
 	if err != nil {
 		return nil, err
 	}
-	if pm != nil || !cold {
+	if !cold {
 		s.canonicalNext(dest, rs, inf)
 	}
 	return newResult(dest, rs.sow, rs.next, iterations, s.m.Metrics().Sub(startMetrics), h), nil

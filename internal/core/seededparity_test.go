@@ -13,7 +13,7 @@ import (
 
 // TestSeededLaneOracleParity pins the fused seeded lane's cold seed to the
 // machine-program oracle: SolveSweep on a default session (fused lane,
-// Next rebuilt by canonicalNext) against sequential Solve on a
+// Next carried by the row scan) against sequential Solve on a
 // reference-kernel session (the machine program, Next read from PTN) must
 // agree in every Result field and in the full observer event stream.
 // Tie-heavy complete graphs exercise the smallest tight successor choice:
@@ -79,6 +79,54 @@ func TestSeededLaneOracleParity(t *testing.T) {
 		}
 	}
 	t.Run("errors", seededLaneErrors)
+}
+
+// TestInScanPTNMatchesCanonicalNext pins the fused lane's in-scan PTN on
+// cold rows to canonicalNext, the host rebuild warm rows use: on the
+// graph families of TestSeededLaneOracleParity at n=64, each swept row's
+// Next must equal the rebuild from its converged distances. The oracle
+// parity above checks the in-scan PTN against the machine program; this
+// keeps the rebuild itself covered on cold inputs.
+func TestInScanPTNMatchesCanonicalNext(t *testing.T) {
+	const n = 64
+	families := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"complete-w1", graph.GenComplete(n, 1, 3)},
+		{"complete-w2", graph.GenComplete(n, 2, 4)},
+		{"complete-w3", graph.GenComplete(n, 3, 5)},
+		{"random-sparse", graph.GenRandom(n, 1.5/n, 9, 5)},
+		{"chain", graph.GenChain(n, 3)},
+	}
+	for _, fam := range families {
+		s, err := NewSession(fam.g, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+		if s.sweepMachine() == nil {
+			t.Fatalf("%s: default session does not run the fused lane", fam.name)
+		}
+		inf := ppa.Infinity(s.m.Bits())
+		rows := 0
+		err = s.SolveSweep(context.Background(), allDests(n), func(r *Result) error {
+			rows++
+			s.canonicalNext(r.Dest, s.rs, inf)
+			for i, got := range r.Next {
+				if i == r.Dest || s.rs.sow[i] == inf {
+					continue
+				}
+				if want := int(s.rs.next[i]); got != want {
+					t.Fatalf("%s dest %d: in-scan Next[%d] = %d, canonicalNext %d", fam.name, r.Dest, i, got, want)
+				}
+			}
+			return nil
+		})
+		if err != nil || rows != n {
+			t.Fatalf("%s: sweep yielded %d rows, error %v", fam.name, rows, err)
+		}
+		s.Close()
+	}
 }
 
 func seededLaneErrors(t *testing.T) {

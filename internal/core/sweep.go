@@ -27,18 +27,24 @@ import (
 // each row's minimum (statement 11) and first arg-min (statement 12),
 // then the fold back into row d (statements 14-19).
 //
+// The lane carries PTN as the machine program does: seeded with d, and
+// set to the row's first arg-min in the fold wherever SOW strictly
+// improves (statements 14-19). On a cold seed that is exactly the
+// oracle's PTN row, so cold rows need no host rebuild; a warm row's PTN
+// follows a different trajectory and is replaced by canonicalNext
+// (resolve.go).
+//
 // Every fabric transaction of the machine program is shadow-charged in
 // the same order, with the same switch planes: ChargeBroadcast and
 // ChargeWiredOr for bus transactions whose outcome the scan already
-// knows (the attaining-lane sets the walks would leave in enable are
-// rebuilt so observer Opens counts match), a real GlobalOrBits for the
-// statement-20 loop test, and every SIMD instruction counted. Metrics,
-// observer event streams and iteration counts are therefore identical
-// to the machine-program oracle (programDP, mcp.go). The lane does
-// not track PTN: Next comes from canonicalNext, which rebuilds from the
-// converged distances exactly the pointers the cold DP's PTN holds (see
-// resolve.go). Parity with the oracle is pinned by the sweep, resolve and
-// seeded-lane parity tests.
+// knows, a real GlobalOrBits for the statement-20 loop test, and every
+// SIMD instruction counted. The attaining-lane sets the two walks would
+// leave in enable matter only to an observer's Opens counts, so they are
+// rebuilt only while an observer is attached; without one a charge reads
+// the plane's length alone. Metrics, observer event streams and
+// iteration counts are therefore identical to the machine-program oracle
+// (programDP, mcp.go). Parity with the oracle is pinned by the sweep,
+// resolve and seeded-lane parity tests.
 //
 // The per-destination re-initialization is an incremental plane edit:
 // the ROW==d / COL==d selector planes are retargeted with two stripe
@@ -197,14 +203,18 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 	diagBits := s.diag.Bits()
 	headBits := s.rowHead.Bits()
 	sow := rs.sow
-	// charge mirrors par.Array.instr k times: one controller instruction,
-	// executed by all n*n PEs.
+	// charge mirrors par.Array.instr k times: k controller instructions,
+	// each executed by all n*n PEs.
 	charge := func(k int) {
 		for i := 0; i < k; i++ {
 			pm.CountInstr()
-			pm.CountPE(size)
 		}
+		pm.CountPE(size * int64(k))
 	}
+	// The enable planes below feed only the observer's Opens counts, so
+	// they are rebuilt only while one is attached (checked once per row:
+	// an observer set from a sweep's yield applies from the next row).
+	observed := pm.Observed()
 
 	w.retarget(dest, n)
 	if cold {
@@ -216,6 +226,9 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 			sow[j] = W[j*n+dest]
 		}
 		sow[dest] = 0
+		for j := range rs.next {
+			rs.next[j] = int32(dest)
+		}
 		pm.ChargeBroadcast(ppa.East, w.colBits) // acrossRows: (j, c) <- w_jd
 		pm.ChargeBroadcast(ppa.South, diagBits) // ontoRowD: (r, j) <- w_jd
 		charge(2)                               // SOW.Assign; PTN.AssignConst (where ROW==d)
@@ -252,15 +265,7 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 		pm.ChargeBroadcast(ppa.South, w.rowBits) // down = broadcast(SOW, SOUTH, ROW==d)
 		charge(2)                                // cand = down.AddSat(W); SOW.Assign (where !=d)
 		for i := 0; i < n; i++ {
-			mv, ma := inf, 0
-			for j, wv := range wrow(i) {
-				// Lanes are in [0, inf]: no overflow, and a sum past inf
-				// saturates to inf, which never beats mv <= inf.
-				if v := sow[j] + wv; v < mv {
-					mv, ma = v, j
-				}
-			}
-			w.rmin[i], w.rarg[i] = mv, int32(ma)
+			w.rmin[i], w.rarg[i] = rowArgMin(sow, wrow(i), inf)
 		}
 
 		// Statement 11: Min(SOW, WEST, COL==n-1), charge-only walk.
@@ -274,16 +279,18 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 		charge(1) // result = src.Copy()
 		// After the walk, enable holds every lane attaining its row
 		// minimum — rebuilt so the broadcast event's Opens count matches.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			mv := w.rmin[i]
-			for j, wv := range wrow(i) {
-				v := sow[j] + wv
-				if v > inf {
-					v = inf
-				}
-				if v == mv {
-					w.enable.Set(i*n + j)
+		if observed {
+			w.enable.Fill(false)
+			for i := 0; i < n; i++ {
+				mv := w.rmin[i]
+				for j, wv := range wrow(i) {
+					v := sow[j] + wv
+					if v > inf {
+						v = inf
+					}
+					if v == mv {
+						w.enable.Set(i*n + j)
+					}
 				}
 			}
 		}
@@ -302,16 +309,18 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 		}
 		charge(1) // result = src.Copy()
 		// The column walk leaves exactly the first attaining lane per row.
-		w.enable.Fill(false)
-		for i := 0; i < n; i++ {
-			w.enable.Set(i*n + int(w.rarg[i]))
+		if observed {
+			w.enable.Fill(false)
+			for i := 0; i < n; i++ {
+				w.enable.Set(i*n + int(w.rarg[i]))
+			}
 		}
 		pm.ChargeBroadcast(ppa.East, w.enable)
 		pm.ChargeBroadcast(ppa.West, headBits)
 		charge(1) // PTN.Assign (where !=d)
 
 		// Statements 14-19: fold the per-row minima back into row d via
-		// the diagonal.
+		// the diagonal, and PTN with them wherever SOW changed.
 		pm.ChargeBroadcast(ppa.South, diagBits) // newRow
 		pm.ChargeBroadcast(ppa.South, diagBits) // newPTN
 		charge(4)                               // OldSOW.Assign; SOW.Assign; changed = Ne; PTN.Assign
@@ -324,6 +333,7 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 			if nv != sow[j] {
 				w.pred.Set(dest*n + j)
 				sow[j] = nv
+				rs.next[j] = w.rarg[j]
 			}
 		}
 
@@ -333,4 +343,36 @@ func (s *Session) fusedDP(ctx context.Context, pm *ppa.Machine, dest int, cold b
 			return iterations, nil
 		}
 	}
+}
+
+// rowArgMin returns min_j (sow[j] + row[j]) over lanes in [0, inf] and
+// its first arg-min; when no sum is below inf the minimum is inf at
+// lane 0 (every saturated lane attains it). A sum past inf never beats
+// the running minimum, so the saturation needs no explicit clamp, and
+// lanes hold at most Infinity(h) <= 2^62-1, so the sum cannot overflow.
+// Even and odd lanes run as two independent compare chains, so the scan
+// is not bound by one chain's latency; the merge keeps the lower lane on
+// a tie, which makes the result the first arg-min.
+func rowArgMin(sow, row []ppa.Word, inf ppa.Word) (ppa.Word, int32) {
+	n := len(sow)
+	row = row[:n]
+	m0, a0, m1, a1 := inf, 0, inf, 0
+	j := 0
+	for ; j+1 < n; j += 2 {
+		if v := sow[j] + row[j]; v < m0 {
+			m0, a0 = v, j
+		}
+		if v := sow[j+1] + row[j+1]; v < m1 {
+			m1, a1 = v, j+1
+		}
+	}
+	if j < n {
+		if v := sow[j] + row[j]; v < m0 {
+			m0, a0 = v, j
+		}
+	}
+	if m1 < m0 || (m1 == m0 && a1 < a0) {
+		m0, a0 = m1, a1
+	}
+	return m0, int32(a0)
 }

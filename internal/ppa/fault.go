@@ -103,6 +103,12 @@ type Event struct {
 // instruction-pattern tests.
 func (m *Machine) SetObserver(fn func(Event)) { m.observer = fn }
 
+// Observed reports whether an observer is attached. Without one, the
+// switch configuration passed to ChargeBroadcast and ChargeWiredOr is read
+// only for its length, so host drivers may skip rebuilding planes whose
+// sole consumer is the event's Opens count.
+func (m *Machine) Observed() bool { return m.observer != nil }
+
 func (m *Machine) observe(op OpKind, d Direction, opens int) {
 	if m.observer != nil {
 		m.observer(Event{Op: op, Dir: d, Opens: opens})

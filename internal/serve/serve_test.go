@@ -601,6 +601,59 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyRejected pins the one-value body rule on every route
+// that decodes a JSON body: a valid request followed by anything but
+// whitespace is a 400 naming the trailing data, while the same request
+// with trailing whitespace is served.
+func TestTrailingBodyRejected(t *testing.T) {
+	srv := New(Config{Workers: 1, MaxVertices: 64})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	graphJSON := string(rawGraph(t, graph.GenChain(4, 3)))
+	code, body := post("/v1/session", `{"graph":`+graphJSON+`,"dests":[0]}`)
+	var sc SessionCreated
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &sc) != nil {
+		t.Fatalf("session create: %d %s", code, body)
+	}
+	defer deleteSession(t, ts, sc.SessionID)
+
+	routes := []struct{ path, body string }{
+		{"/v1/solve", `{"graph":` + graphJSON + `,"dests":[1]}`},
+		{"/v1/allpairs", `{"graph":` + graphJSON + `,"dests":[1]}`},
+		{"/v1/session", `{"graph":` + graphJSON + `,"dests":[1]}`},
+		{"/v1/session/" + sc.SessionID + "/update", `{"updates":[{"u":0,"v":1,"w":2}]}`},
+	}
+	for _, rt := range routes {
+		for _, tail := range []string{" this is not json", " {}", "]", `{"dests":[2]}`} {
+			code, body := post(rt.path, rt.body+tail)
+			if code != http.StatusBadRequest || !strings.Contains(body, "trailing data") {
+				t.Errorf("%s with trailing %q: %d %s, want 400 naming the trailing data", rt.path, tail, code, body)
+			}
+		}
+		if code, body := post(rt.path, rt.body+" \n\t"); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: %d %s, want 200", rt.path, code, body)
+		}
+	}
+}
+
 // TestShutdownRefusesNewWork: after Shutdown the surface answers 503 on
 // solve and healthz (load balancers drain on that signal).
 func TestShutdownRefusesNewWork(t *testing.T) {

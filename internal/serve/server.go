@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -418,8 +419,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
 	var req SolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	g, err := req.BuildGraph(s.cfg.MaxVertices)
@@ -507,8 +507,7 @@ func (s *Server) allPairs(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
 	var req AllPairsRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	g, err := req.BuildGraph(s.cfg.MaxVertices)
@@ -683,6 +682,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) int {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 	return status
+}
+
+// decodeBody decodes a request body, capped at MaxBodyBytes, into v. The
+// body must hold exactly one JSON value: anything but whitespace after it
+// is an error, so a concatenated or corrupted request is refused rather
+// than half-read.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) int {

@@ -264,8 +264,7 @@ func (s *Server) sessionCreate(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusServiceUnavailable, "shutting down")
 	}
 	var req SessionCreateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	sr := SolveRequest{Graph: req.Graph, Gen: req.Gen}
@@ -475,8 +474,7 @@ func (s *Server) sessionUpdate(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusNotFound, "no such session")
 	}
 	var req SessionUpdateRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if len(req.Updates) == 0 {

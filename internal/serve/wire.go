@@ -59,22 +59,10 @@ func (r *SolveRequest) BuildGraph(maxN int) (*graph.Graph, error) {
 	case len(r.Graph) > 0 && len(r.Gen) > 0:
 		return nil, fmt.Errorf("request has both graph and gen; want exactly one")
 	case len(r.Graph) > 0:
-		// Probe the header first: an inline {"n": 8192} with no edges is a
-		// few bytes of JSON but an n^2 matrix on the heap.
-		var probe struct {
-			N int `json:"n"`
-		}
-		if err := json.Unmarshal(r.Graph, &probe); err != nil {
-			return nil, fmt.Errorf("graph: %v", err)
-		}
-		if probe.N > maxN {
-			return nil, fmt.Errorf("graph: n = %d exceeds server limit %d", probe.N, maxN)
-		}
-		g := new(graph.Graph)
-		if err := json.Unmarshal(r.Graph, g); err != nil {
-			return nil, err
-		}
-		return g, nil
+		// DecodeJSON checks n against maxN before allocating: an inline
+		// {"n": 8192} with no edges is a few bytes of JSON but an n^2
+		// matrix on the heap.
+		return graph.DecodeJSON(r.Graph, maxN)
 	case len(r.Gen) > 0:
 		w := cli.Default()
 		if err := json.Unmarshal(r.Gen, &w); err != nil {
